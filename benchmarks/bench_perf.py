@@ -4,9 +4,9 @@ Times ``match_many`` for every architecture on the same workload
 (dblp-acm record pairs, each unique pair matched twice so the
 tokenization cache sees repeats):
 
-1. baseline — serial per-pair matching, fused kernels off, no cache:
-   the pre-optimization path;
-2. fast — length-bucketed batches + fused no-tape kernels + cache;
+1. baseline — serial per-pair matching without the tokenization cache,
+   through the same tape-off forward;
+2. fast — length-bucketed batches + tokenization cache;
 3. int8 — the fast path over calibrated per-channel quantized weights
    (gated on decision consistency with the float path, not speed);
 4. cascade — DistilBERT screens every pair, ambiguous ones escalate to
@@ -110,7 +110,7 @@ def test_perf_throughput(benchmark):
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="match_many throughput: serial vs. fused/bucketed "
+        description="match_many throughput: serial vs. bucketed "
                     "vs. int8 vs. the DistilBERT->RoBERTa cascade")
     parser.add_argument("--smoke", action="store_true",
                         help="few pairs, schema check only (CI)")

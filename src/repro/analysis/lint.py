@@ -634,17 +634,14 @@ class _NonAtomicArtifactWrite(LintRule):
 class _ForwardOutsideNoGrad(LintRule):
     """Batch-inference drivers (match loops, eval sweeps, benchmarks)
     that call a model forward directly with the tape enabled record a
-    backward closure per op per pair — and they also miss the fused
-    no-tape kernels, which only activate under ``no_grad`` /
-    ``inference_mode``.  RA104 covers predict/infer-*named* entry
+    backward closure per op per pair, graph memory included, that no
+    one will ever walk.  RA104 covers predict/infer-*named* entry
     points; this rule covers the driver loops around them."""
 
     id = "RA110"
     name = "forward-outside-no-grad"
-    hint = ("wrap the forward calls in `with no_grad():` or "
-            "`with inference_mode():` (gradients are never needed on "
-            "an inference path, and the fused kernels need the tape "
-            "off)")
+    hint = ("wrap the forward calls in `with no_grad():` (gradients "
+            "are never needed on an inference path)")
 
     _PATTERN = re.compile(r"match|eval|bench", re.IGNORECASE)
     #: Receivers that are, by repo convention, callable models.
@@ -681,17 +678,15 @@ class _ForwardOutsideNoGrad(LintRule):
                 yield self.violation(
                     module, call,
                     f"{name}() drives a model forward with the tape "
-                    f"enabled — each pair records backward closures and "
-                    f"skips the fused no-tape kernels")
+                    f"enabled — each pair records backward closures "
+                    f"nothing will walk")
 
     @staticmethod
     def _disables_tape(func: ast.AST) -> bool:
         for node in ast.walk(func):
-            if (isinstance(node, ast.Name)
-                    and node.id in ("no_grad", "inference_mode")):
+            if isinstance(node, ast.Name) and node.id == "no_grad":
                 return True
-            if (isinstance(node, ast.Attribute)
-                    and node.attr in ("no_grad", "inference_mode")):
+            if isinstance(node, ast.Attribute) and node.attr == "no_grad":
                 return True
         return False
 

@@ -133,10 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="resume from the newest snapshot in "
                         "--checkpoint-dir instead of starting fresh")
-    p.add_argument("--no-fast", dest="fast", action="store_false",
-                   help="disable the fused no-tape inference kernels "
-                        "(evaluation falls back to op-by-op forwards; "
-                        "useful for A/B-checking the fast path)")
     p.add_argument("--cascade", action="store_true",
                    help="run the confidence cascade: a DistilBERT "
                         "primary screens every pair and only ambiguous "
@@ -350,11 +346,8 @@ def _smoke_zoo_settings():
 def _run_match(arch: str, dataset: str, scale: float, epochs: int,
                seed: int, smoke: bool, zoo_dir, telemetry,
                checkpoint_dir=None, checkpoint_every: int = 25,
-               resume: bool = False, fast: bool = True) -> int:
-    import contextlib
-
+               resume: bool = False) -> int:
     from .matching import EntityMatcher, FineTuneConfig
-    from .nn import fused_kernels
     data = load_benchmark(dataset, seed=seed, scale=scale)
     splits = split_dataset(data, child_rng(seed, "split"))
     matcher = EntityMatcher(
@@ -384,13 +377,9 @@ def _run_match(arch: str, dataset: str, scale: float, epochs: int,
                          "dataset": dataset, "scale": scale,
                          "epochs": epochs, "seed": seed, "smoke": smoke})
 
-    # --no-fast: run every forward op-by-op (training is unaffected —
-    # the fused kernels only ever activate with the tape off).
-    guard = fused_kernels(False) if not fast else contextlib.nullcontext()
-    with guard:
-        matcher.fit(splits.train, splits.test, log=print,
-                    callbacks=callbacks, resilience=resilience)
-        metrics = matcher.evaluate(splits.test).as_percent()
+    matcher.fit(splits.train, splits.test, log=print,
+                callbacks=callbacks, resilience=resilience)
+    metrics = matcher.evaluate(splits.test).as_percent()
     print(f"\n{arch} on {data.name}: F1 {metrics.f1:.1f} "
           f"(P {metrics.precision:.1f} / R {metrics.recall:.1f})")
     if run is not None:
@@ -406,7 +395,7 @@ def _cmd_match(args) -> int:
                       args.seed, args.smoke, args.zoo_dir, args.telemetry,
                       checkpoint_dir=args.checkpoint_dir,
                       checkpoint_every=args.checkpoint_every,
-                      resume=args.resume, fast=args.fast)
+                      resume=args.resume)
 
 
 def _run_cascade(args) -> int:
@@ -783,7 +772,7 @@ def _cmd_bench(args) -> int:
     if args.suite == "blocking":
         return _cmd_bench_blocking(args)
     if args.batch_size is None:
-        # The fused path peaks at larger batches; the serve suites were
+        # The batched path peaks at larger batches; the serve suites were
         # tuned (and their floors measured) at 32.
         args.batch_size = 64 if args.suite == "perf" else 32
     if args.suite == "serve":

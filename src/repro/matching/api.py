@@ -286,8 +286,8 @@ class EntityMatcher:
                  batch_size: int = 64) -> QuantizedWeights:
         """Calibrate int8 per-channel quantization on representative pairs.
 
-        Sweeps ``calibration_pairs`` through the fused path under the
-        activation recorder, quantizes every weight the sweep touched
+        Sweeps ``calibration_pairs`` through the tape-off forward under
+        the activation recorder, quantizes every weight the sweep touched
         (:func:`repro.nn.calibrate_quantization`), stores the artifact
         on this matcher, and returns it.  Engage it with
         ``engine(quantized=True)`` / ``match_many(quantized=True)``;

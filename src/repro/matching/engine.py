@@ -2,8 +2,8 @@
 
 :class:`MatchEngine` is the single implementation of the fast matching
 path: tokenize each pair once through the LRU cache, forward in
-length-bucketed batches under ``no_grad`` (which also activates the
-fused no-tape kernels), and isolate per-pair failures — an encode
+length-bucketed batches under ``no_grad`` (the model forward with the
+tape off), and isolate per-pair failures — an encode
 failure degrades that pair immediately, a batch forward failure retries
 each member individually before degrading the ones that still fail.
 
@@ -68,8 +68,8 @@ class MatchEngine:
         Optional ``{id(weight array): QuantizedLinear}`` overlay (from
         :meth:`repro.nn.QuantizedWeights.overlay_for`).  When set, the
         forward section — including single-row retries — runs under
-        :func:`repro.nn.quantized_inference`, so every fused linear the
-        overlay covers takes the int8 path.
+        :func:`repro.nn.quantized_inference`, so every linear the overlay
+        covers takes the int8 path.
     """
 
     def __init__(self, pair_texts, tokenizer, classifier, max_length: int,
@@ -119,7 +119,7 @@ class MatchEngine:
         isolation boundary before every model forward.  ``stages`` (a
         :class:`repro.obs.context.BatchStages`) receives clock-timed
         ``tokenize`` / ``forward`` records — the forward record also
-        carries the fused-kernel invocation mix.
+        carries the kernel invocation mix.
         """
         pairs = list(pairs)
         keys = list(keys) if keys is not None else list(range(len(pairs)))

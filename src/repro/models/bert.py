@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import (Dropout, Embedding, LayerNorm, Linear, Module, Tensor,
-                  fused, is_fused_enabled, padding_attention_mask)
+from ..nn import (Dropout, Embedding, LayerNorm, Linear, Module,
+                  PlainLinear, Tensor, padding_attention_mask)
 from .config import TransformerConfig
-from .transformer import (TransformerEncoder, cross_match_features,
-                          lexical_match_scores, token_similarity)
+from .transformer import TransformerEncoder, match_bias_inputs
 
 __all__ = ["BertEmbeddings", "BertModel", "BertPretrainingHeads"]
 
@@ -29,8 +28,8 @@ class BertEmbeddings(Module):
         self.dropout = Dropout(config.dropout, rng)
         self.max_position = config.max_position
         # Matchedness channel (see transformer.cross_match_features).
-        self.match_proj = (Linear(4, config.d_model, rng, std=0.2,
-                                  bias=False)
+        self.match_proj = (PlainLinear(4, config.d_model, rng, std=0.2,
+                                       bias=False)
                            if config.match_bias else None)
 
     def forward(self, input_ids: np.ndarray,
@@ -45,31 +44,11 @@ class BertEmbeddings(Module):
         positions = np.broadcast_to(np.arange(seq), (batch, seq))
         if segment_ids is None:
             segment_ids = np.zeros_like(input_ids)
-        if is_fused_enabled():
-            return Tensor(self.fused_forward(input_ids, positions,
-                                             segment_ids, match_features))
         total = (self.token(input_ids) + self.position(positions)
                  + self.segment(segment_ids))
         if match_features is not None and self.match_proj is not None:
             total = total + self.match_proj(Tensor(match_features))
         return self.dropout(self.norm(total))
-
-    def fused_forward(self, input_ids: np.ndarray, positions: np.ndarray,
-                      segment_ids: np.ndarray,
-                      match_features: np.ndarray | None) -> np.ndarray:
-        """No-tape array path, bit-identical to :meth:`forward` (dropout
-        is identity while the tape is off)."""
-        total = self.token.weight.data[input_ids]
-        total = total + self.position.weight.data[positions]
-        total += self.segment.weight.data[segment_ids]
-        if match_features is not None and self.match_proj is not None:
-            # Raw matmul, not fused.linear: this projection must stay
-            # outside the quantization dispatch (calibration quantizes
-            # every fused.linear weight it sees) and outside the kernel
-            # call counters.
-            total += match_features @ self.match_proj.weight.data.T
-        return fused.layer_norm(total, self.norm.weight.data,
-                                self.norm.bias.data, eps=self.norm.eps)
 
 
 class BertModel(Module):
@@ -81,8 +60,8 @@ class BertModel(Module):
         self.config = config
         self.embeddings = BertEmbeddings(config, rng)
         self.encoder = TransformerEncoder(config, rng)
-        self.pooler = (Linear(config.d_model, config.d_model, rng,
-                              std=config.initializer_range)
+        self.pooler = (PlainLinear(config.d_model, config.d_model, rng,
+                                   std=config.initializer_range)
                        if with_pooler else None)
         # Ids whose rows are excluded from the lexical match bias; set by
         # the tokenizer-aware caller (defaults to id 0 = padding).
@@ -95,20 +74,11 @@ class BertModel(Module):
         attention_mask = None
         if pad_mask is not None:
             attention_mask = padding_attention_mask(pad_mask)
-        match_scores = None
-        match_features = None
+        match_features = match_scores = None
         if self.config.match_bias:
-            table = self.embeddings.token.weight.data
-            # One shared similarity matrix: cross_match_features reads
-            # it, lexical_match_scores consumes it (mutates in place).
-            similarity = token_similarity(table, input_ids)
-            if segment_ids is not None:
-                match_features = cross_match_features(
-                    table, input_ids, segment_ids, self.special_token_ids,
-                    similarity=similarity)
-            match_scores = lexical_match_scores(
-                table, input_ids, self.special_token_ids,
-                similarity=similarity)
+            match_features, match_scores = match_bias_inputs(
+                self.embeddings.token.weight.data, input_ids, segment_ids,
+                self.special_token_ids)
         hidden = self.embeddings(input_ids, segment_ids,
                                  match_features=match_features)
         return self.encoder(hidden, attention_mask=attention_mask,
@@ -121,18 +91,6 @@ class BertModel(Module):
         if self.pooler is None:
             return cls_state
         return self.pooler(cls_state).tanh()
-
-    def fused_pooled_output(self, hidden: np.ndarray,
-                            cls_index: int = 0) -> np.ndarray:
-        """Array twin of :meth:`pooled_output`, bit-identical."""
-        cls_state = hidden[:, cls_index, :]
-        if self.pooler is None:
-            return cls_state
-        # Raw ops, not fused.linear: the pooler must stay outside the
-        # quantization dispatch and the kernel call counters.
-        pooled = cls_state @ self.pooler.weight.data.T
-        pooled += self.pooler.bias.data
-        return np.tanh(pooled, out=pooled)
 
 
 class BertPretrainingHeads(Module):

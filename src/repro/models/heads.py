@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import (Dropout, Linear, Module, Tensor, fused, is_fused_enabled,
-                  no_grad)
+from ..nn import Dropout, Module, PlainLinear, Tensor, no_grad
 from .config import TransformerConfig
 
 __all__ = ["SequenceClassifier"]
@@ -34,10 +33,11 @@ class SequenceClassifier(Module):
         std = 1.0 / np.sqrt(config.d_model)
         self.backbone = backbone
         self.config = config
-        self.hidden_layer = Linear(config.d_model, config.d_model, rng,
-                                   std=std)
+        self.hidden_layer = PlainLinear(config.d_model, config.d_model, rng,
+                                        std=std)
         self.dropout = Dropout(config.dropout, rng)
-        self.output_layer = Linear(config.d_model, num_classes, rng, std=std)
+        self.output_layer = PlainLinear(config.d_model, num_classes, rng,
+                                        std=std)
 
     def forward(self, input_ids: np.ndarray,
                 segment_ids: np.ndarray | None = None,
@@ -45,27 +45,9 @@ class SequenceClassifier(Module):
                 cls_index: int = 0) -> Tensor:
         hidden = self.backbone(input_ids, segment_ids=segment_ids,
                                pad_mask=pad_mask)
-        if (is_fused_enabled()
-                and hasattr(self.backbone, "fused_pooled_output")):
-            return Tensor(self.fused_head(
-                self.backbone.fused_pooled_output(hidden.data,
-                                                  cls_index=cls_index)))
         pooled = self.backbone.pooled_output(hidden, cls_index=cls_index)
         features = self.hidden_layer(pooled).tanh()
         return self.output_layer(self.dropout(features))
-
-    def fused_head(self, pooled: np.ndarray) -> np.ndarray:
-        """No-tape array path for the classification head, bit-identical
-        to :meth:`forward` (dropout is identity while the tape is off)."""
-        # Raw ops, not fused.linear: the head must stay outside the
-        # quantization dispatch (calibration quantizes every
-        # fused.linear weight it sees) and the kernel call counters.
-        features = pooled @ self.hidden_layer.weight.data.T
-        features += self.hidden_layer.bias.data
-        np.tanh(features, out=features)
-        logits = features @ self.output_layer.weight.data.T
-        logits += self.output_layer.bias.data
-        return logits
 
     @no_grad()
     def predict_proba(self, input_ids: np.ndarray,
@@ -75,7 +57,4 @@ class SequenceClassifier(Module):
         """Match probabilities, shape (B, num_classes)."""
         logits = self.forward(input_ids, segment_ids=segment_ids,
                               pad_mask=pad_mask, cls_index=cls_index)
-        if is_fused_enabled():
-            # forward just returned an array we own; softmax in place.
-            return fused.softmax(logits.data, axis=-1, out=logits.data)
         return logits.softmax(axis=-1).numpy()

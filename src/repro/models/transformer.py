@@ -7,12 +7,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import (DTYPE, Dropout, LayerNorm, Linear, Module, ModuleList,
-                  MultiHeadAttention, Tensor, fused, is_fused_enabled)
+                  MultiHeadAttention, Tensor)
 from .config import TransformerConfig
 
 __all__ = ["TransformerEncoderLayer", "TransformerEncoder",
            "sinusoidal_positions", "lexical_match_scores",
-           "cross_match_features", "token_similarity"]
+           "cross_match_features", "token_similarity",
+           "match_bias_inputs"]
 
 
 NUM_MATCH_FEATURES = 4
@@ -145,6 +146,28 @@ def lexical_match_scores(embedding_table: np.ndarray,
     return match.astype(DTYPE, copy=False)
 
 
+def match_bias_inputs(embedding_table: np.ndarray, input_ids: np.ndarray,
+                      segment_ids: np.ndarray | None,
+                      invalid_ids: set[int]
+                      ) -> tuple[np.ndarray | None, np.ndarray]:
+    """``(match_features, match_scores)`` for one encoder forward.
+
+    Both come from one shared :func:`token_similarity` matrix:
+    :func:`cross_match_features` reads it (None without ``segment_ids``,
+    which locate the two entities), then :func:`lexical_match_scores`
+    consumes it in place.
+    """
+    similarity = token_similarity(embedding_table, input_ids)
+    features = None
+    if segment_ids is not None:
+        features = cross_match_features(embedding_table, input_ids,
+                                        segment_ids, invalid_ids,
+                                        similarity=similarity)
+    scores = lexical_match_scores(embedding_table, input_ids, invalid_ids,
+                                  similarity=similarity)
+    return features, scores
+
+
 def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
     """The fixed sine/cosine positional encoding of the original paper."""
     position = np.arange(length)[:, None]
@@ -175,10 +198,6 @@ class TransformerEncoderLayer(Module):
     def forward(self, hidden: Tensor,
                 attention_mask: np.ndarray | None = None,
                 match_scores: np.ndarray | None = None) -> Tensor:
-        if is_fused_enabled():
-            return Tensor(self.fused_forward(hidden.data,
-                                             attention_mask=attention_mask,
-                                             match_scores=match_scores))
         if self.pre_norm:
             attended = self.attention(self.attn_norm(hidden),
                                       attention_mask=attention_mask,
@@ -192,40 +211,6 @@ class TransformerEncoderLayer(Module):
         hidden = self.attn_norm(hidden + self.dropout(attended))
         transformed = self.ff_out(self.ff_in(hidden).gelu())
         return self.ff_norm(hidden + self.dropout(transformed))
-
-    def fused_forward(self, hidden: np.ndarray,
-                      attention_mask: np.ndarray | None = None,
-                      match_scores: np.ndarray | None = None) -> np.ndarray:
-        """No-tape array path for the whole block, bit-identical to
-        :meth:`forward` (dropout is identity while the tape is off)."""
-        if self.pre_norm:
-            normed = fused.layer_norm(hidden, self.attn_norm.weight.data,
-                                      self.attn_norm.bias.data,
-                                      eps=self.attn_norm.eps)
-            attended = self.attention.fused_forward(
-                normed, normed, normed, attention_mask=attention_mask,
-                match_scores=match_scores)
-            hidden = hidden + attended
-            normed = fused.layer_norm(hidden, self.ff_norm.weight.data,
-                                      self.ff_norm.bias.data,
-                                      eps=self.ff_norm.eps)
-            return hidden + fused.feed_forward(
-                normed, self.ff_in.weight.data, self.ff_in.bias.data,
-                self.ff_out.weight.data, self.ff_out.bias.data)
-        attended = self.attention.fused_forward(
-            hidden, hidden, hidden, attention_mask=attention_mask,
-            match_scores=match_scores)
-        hidden = fused.layer_norm(hidden + attended,
-                                  self.attn_norm.weight.data,
-                                  self.attn_norm.bias.data,
-                                  eps=self.attn_norm.eps)
-        transformed = fused.feed_forward(
-            hidden, self.ff_in.weight.data, self.ff_in.bias.data,
-            self.ff_out.weight.data, self.ff_out.bias.data)
-        return fused.layer_norm(hidden + transformed,
-                                self.ff_norm.weight.data,
-                                self.ff_norm.bias.data,
-                                eps=self.ff_norm.eps)
 
 
 class TransformerEncoder(Module):

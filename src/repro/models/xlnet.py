@@ -26,18 +26,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import (DTYPE, Dropout, Embedding, LayerNorm, Linear, Module, ModuleList,
-                  Parameter, Tensor, fused, is_fused_enabled)
+from ..nn import (DTYPE, Dropout, Embedding, LayerNorm, Linear, Module,
+                  ModuleList, Parameter, PlainLinear, Tensor)
 from ..nn import init
 from .config import TransformerConfig
-from .transformer import (cross_match_features, lexical_match_scores,
-                          sinusoidal_positions)
+from .transformer import match_bias_inputs, sinusoidal_positions
 
 __all__ = ["XLNetModel", "XLNetLayer", "XLNetRelativeAttention",
            "permutation_masks"]
-
-_NEG_INF = -1e9
-
 
 def _relative_index(seq_len: int) -> np.ndarray:
     """idx[i, j] maps (query i, key j) to the row of the (2T-1) rel table."""
@@ -84,10 +80,6 @@ class XLNetRelativeAttention(Module):
         ``attention_mask`` is boolean, True = masked, broadcastable to
         (B, H, T, T).
         """
-        if is_fused_enabled():
-            return Tensor(self.fused_forward(
-                query_states.data, content_states.data, rel_embeddings.data,
-                attention_mask=attention_mask, match_scores=match_scores))
         seq_len = content_states.shape[1]
         q = self._heads(self.q_proj(query_states))          # (B,H,T,Dh)
         k = self._heads(self.k_proj(content_states))
@@ -109,59 +101,19 @@ class XLNetRelativeAttention(Module):
 
         scores = (content_scores + position_scores) * (
             1.0 / np.sqrt(self.head_dim))
-        if match_scores is not None and self.match_gain is not None:
-            gain = self.match_gain.reshape(1, -1, 1, 1)
-            scores = scores + gain * Tensor(match_scores[:, None, :, :])
-        if attention_mask is not None:
-            scores = scores.masked_fill(attention_mask, _NEG_INF)
-        probs = self.attn_dropout(scores.softmax(axis=-1))
-        context = (probs @ v).transpose(0, 2, 1, 3).reshape(
-            query_states.shape[0], seq_len, -1)
-        return self.out_proj(context)
-
-    def fused_forward(self, query_states: np.ndarray,
-                      content_states: np.ndarray,
-                      rel_embeddings: np.ndarray,
-                      attention_mask: np.ndarray | None = None,
-                      match_scores: np.ndarray | None = None) -> np.ndarray:
-        """No-tape array path, bit-identical to :meth:`forward` (attention
-        dropout is identity while the tape is off)."""
-        seq_len = content_states.shape[1]
-        h, dh = self.num_heads, self.head_dim
-
-        def heads(x, h=h, dh=dh):
-            b, t, _ = x.shape
-            return x.reshape(b, t, h, dh).transpose(0, 2, 1, 3)
-
-        q = heads(fused.linear(query_states, self.q_proj.weight.data))
-        k = heads(fused.linear(content_states, self.k_proj.weight.data))
-        v = heads(fused.linear(content_states, self.v_proj.weight.data))
-        r = fused.linear(rel_embeddings, self.r_proj.weight.data)
-        r = r.reshape(2 * seq_len - 1, h, dh).transpose(1, 0, 2)
-
-        content_scores = (q + self.content_bias.data.reshape(
-            1, h, 1, dh)) @ np.swapaxes(k, -1, -2)
-        q_pos = q + self.position_bias.data.reshape(1, h, 1, dh)
-        pos_all = q_pos @ np.swapaxes(r, -1, -2)
-        idx = _relative_index(seq_len)
-        rows = np.broadcast_to(np.arange(seq_len)[:, None],
-                               (seq_len, seq_len))
-        position_scores = pos_all[:, :, rows, idx]
-
-        scores = (content_scores + position_scores) * float(
-            1.0 / np.sqrt(self.head_dim))
         score_bias = None
         if match_scores is not None and self.match_gain is not None:
-            score_bias = (self.match_gain.data.reshape(1, -1, 1, 1)
-                          * match_scores[:, None, :, :])
-        context = fused.attention_core(
+            gain = self.match_gain.reshape(1, -1, 1, 1)
+            score_bias = gain * Tensor(match_scores[:, None, :, :])
+        dropout = self.attn_dropout
+        context = Tensor.attention_core(
             None, None, v, 1.0, attention_mask=attention_mask,
-            score_bias=score_bias, mask_value=_NEG_INF,
-            scores=scores)
+            score_bias=score_bias, scores=scores,
+            dropout=dropout.p if dropout.training else 0.0,
+            rng=dropout.rng)
         context = context.transpose(0, 2, 1, 3).reshape(
             query_states.shape[0], seq_len, -1)
-        return fused.linear(context, self.out_proj.weight.data,
-                            self.out_proj.bias.data)
+        return self.out_proj(context)
 
 
 class XLNetLayer(Module):
@@ -203,47 +155,9 @@ class XLNetLayer(Module):
     def forward(self, hidden: Tensor, rel_embeddings: Tensor,
                 attention_mask: np.ndarray | None = None,
                 match_scores: np.ndarray | None = None) -> Tensor:
-        if is_fused_enabled():
-            return Tensor(self.fused_forward(
-                hidden.data, rel_embeddings.data,
-                attention_mask=attention_mask, match_scores=match_scores))
         attended = self._attend(hidden, hidden, rel_embeddings,
                                 attention_mask, match_scores=match_scores)
         return self._ff(self._residual(hidden, attended))
-
-    def fused_forward(self, hidden: np.ndarray, rel_embeddings: np.ndarray,
-                      attention_mask: np.ndarray | None = None,
-                      match_scores: np.ndarray | None = None) -> np.ndarray:
-        """No-tape array path for the whole block, bit-identical to
-        :meth:`forward` (dropout is identity while the tape is off)."""
-        if self.pre_norm:
-            normed = fused.layer_norm(hidden, self.attn_norm.weight.data,
-                                      self.attn_norm.bias.data,
-                                      eps=self.attn_norm.eps)
-            attended = self.attention.fused_forward(
-                normed, normed, rel_embeddings,
-                attention_mask=attention_mask, match_scores=match_scores)
-            hidden = hidden + attended
-            normed = fused.layer_norm(hidden, self.ff_norm.weight.data,
-                                      self.ff_norm.bias.data,
-                                      eps=self.ff_norm.eps)
-            return hidden + fused.feed_forward(
-                normed, self.ff_in.weight.data, self.ff_in.bias.data,
-                self.ff_out.weight.data, self.ff_out.bias.data)
-        attended = self.attention.fused_forward(
-            hidden, hidden, rel_embeddings,
-            attention_mask=attention_mask, match_scores=match_scores)
-        hidden = fused.layer_norm(hidden + attended,
-                                  self.attn_norm.weight.data,
-                                  self.attn_norm.bias.data,
-                                  eps=self.attn_norm.eps)
-        transformed = fused.feed_forward(
-            hidden, self.ff_in.weight.data, self.ff_in.bias.data,
-            self.ff_out.weight.data, self.ff_out.bias.data)
-        return fused.layer_norm(hidden + transformed,
-                                self.ff_norm.weight.data,
-                                self.ff_norm.bias.data,
-                                eps=self.ff_norm.eps)
 
     def forward_two_stream(self, h: Tensor, g: Tensor,
                            rel_embeddings: Tensor,
@@ -292,9 +206,10 @@ class XLNetModel(Module):
         self.dropout = Dropout(config.dropout, rng)
         # Learnable start vector for the query stream (w in the paper).
         self.query_seed = Parameter(init.normal(rng, (config.d_model,), std=std))
-        self.pooler = Linear(config.d_model, config.d_model, rng, std=std)
-        self.match_proj = (Linear(4, config.d_model, rng, std=0.2,
-                                  bias=False)
+        self.pooler = PlainLinear(config.d_model, config.d_model, rng,
+                                  std=std)
+        self.match_proj = (PlainLinear(4, config.d_model, rng, std=0.2,
+                                       bias=False)
                            if config.match_bias else None)
         self.special_token_ids: set[int] = {0}
 
@@ -303,31 +218,33 @@ class XLNetModel(Module):
                                            self.config.d_model))
 
     def _embed(self, input_ids: np.ndarray,
-               segment_ids: np.ndarray | None) -> Tensor:
+               segment_ids: np.ndarray | None,
+               match_features: np.ndarray | None) -> Tensor:
         embedded = self.token(np.asarray(input_ids))
         if segment_ids is not None:
             embedded = embedded + self.segment(np.asarray(segment_ids))
-        if (segment_ids is not None and self.match_proj is not None
-                and self.config.match_bias):
-            features = cross_match_features(
-                self.token.weight.data, input_ids, segment_ids,
-                self.special_token_ids)
-            embedded = embedded + self.match_proj(Tensor(features))
+        if match_features is not None and self.match_proj is not None:
+            embedded = embedded + self.match_proj(Tensor(match_features))
         return self.dropout(embedded)
+
+    def _match_inputs(self, input_ids: np.ndarray,
+                      segment_ids: np.ndarray | None):
+        if not self.config.match_bias:
+            return None, None
+        return match_bias_inputs(self.token.weight.data, input_ids,
+                                 segment_ids, self.special_token_ids)
 
     def forward(self, input_ids: np.ndarray,
                 segment_ids: np.ndarray | None = None,
                 pad_mask: np.ndarray | None = None) -> Tensor:
         """Bidirectional content-stream encoding (fine-tuning mode)."""
-        hidden = self._embed(input_ids, segment_ids)
+        match_features, match_scores = self._match_inputs(input_ids,
+                                                          segment_ids)
+        hidden = self._embed(input_ids, segment_ids, match_features)
         seq_len = hidden.shape[1]
         attention_mask = None
         if pad_mask is not None:
             attention_mask = np.asarray(pad_mask, bool)[:, None, None, :]
-        match_scores = None
-        if self.config.match_bias:
-            match_scores = lexical_match_scores(
-                self.token.weight.data, input_ids, self.special_token_ids)
         rel = self._rel_embeddings(seq_len)
         for layer in self.layers:
             hidden = layer(hidden, rel, attention_mask,
@@ -344,7 +261,8 @@ class XLNetModel(Module):
         """Two-stream pass under a factorization order; returns the query
         stream g (B, T, D), whose position t encodes everything needed to
         predict token t without seeing it."""
-        hidden = self._embed(input_ids, segment_ids)
+        match_features, _ = self._match_inputs(input_ids, segment_ids)
+        hidden = self._embed(input_ids, segment_ids, match_features)
         batch, seq_len, _ = hidden.shape
         content_mask, query_mask = permutation_masks(order)
         content_mask = content_mask[None, None]

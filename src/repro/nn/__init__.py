@@ -8,8 +8,8 @@ encoders and RNN baselines, losses, and optimizers.
 from .attention import MultiHeadAttention, padding_attention_mask
 from .fused import quantized_inference, record_activations
 from .init import ACC_DTYPE, DTYPE
-from .layers import (Dropout, Embedding, GELU, LayerNorm, Linear, ReLU,
-                     Sequential, Tanh)
+from .layers import (Dropout, Embedding, GELU, LayerNorm, Linear,
+                     PlainLinear, ReLU, Sequential, Tanh)
 from .losses import (binary_cross_entropy_with_logits, cosine_embedding_loss,
                      cross_entropy, distillation_loss, mse_loss)
 from .module import Module, ModuleList, Parameter
@@ -22,14 +22,12 @@ from .rnn import BiRNN, GRUCell, LSTMCell
 from .serialization import (CheckpointError, apply_state_dict,
                             array_checksum, load_checkpoint, load_module,
                             save_checkpoint, save_module)
-from .tensor import (Tensor, fused_kernels, inference_mode, is_fused_enabled,
-                     is_grad_enabled, no_grad)
+from .tensor import Tensor, is_grad_enabled, no_grad
 
 __all__ = [
-    "Tensor", "no_grad", "inference_mode", "fused_kernels",
-    "is_grad_enabled", "is_fused_enabled", "DTYPE", "ACC_DTYPE",
+    "Tensor", "no_grad", "is_grad_enabled", "DTYPE", "ACC_DTYPE",
     "Module", "ModuleList", "Parameter",
-    "Linear", "Embedding", "LayerNorm", "Dropout", "Sequential",
+    "Linear", "PlainLinear", "Embedding", "LayerNorm", "Dropout", "Sequential",
     "GELU", "ReLU", "Tanh",
     "MultiHeadAttention", "padding_attention_mask",
     "GRUCell", "LSTMCell", "BiRNN",

@@ -4,16 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import fused
 from .init import DTYPE
 from .layers import Dropout, Linear
 from .module import Module
-from .tensor import Tensor, is_fused_enabled
+from .tensor import Tensor
 
 __all__ = ["MultiHeadAttention", "split_heads", "merge_heads",
            "padding_attention_mask"]
-
-_NEG_INF = -1e9
 
 
 def split_heads(x: Tensor, num_heads: int) -> Tensor:
@@ -81,54 +78,20 @@ class MultiHeadAttention(Module):
         """
         key = query if key is None else key
         value = key if value is None else value
-        if is_fused_enabled():
-            return Tensor(self.fused_forward(
-                query.data, key.data, value.data,
-                attention_mask=attention_mask, match_scores=match_scores))
-
         q = split_heads(self.q_proj(query), self.num_heads)
         k = split_heads(self.k_proj(key), self.num_heads)
         v = split_heads(self.v_proj(value), self.num_heads)
-
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
-        if match_scores is not None and self.match_gain is not None:
-            gain = self.match_gain.reshape(1, self.num_heads, 1, 1)
-            scores = scores + gain * Tensor(match_scores[:, None, :, :])
-        if attention_mask is not None:
-            scores = scores.masked_fill(attention_mask, _NEG_INF)
-        probs = scores.softmax(axis=-1)
-        probs = self.attn_dropout(probs)
-        context = merge_heads(probs @ v)
-        return self.out_proj(context)
-
-    def fused_forward(self, query: np.ndarray, key: np.ndarray,
-                      value: np.ndarray,
-                      attention_mask: np.ndarray | None = None,
-                      match_scores: np.ndarray | None = None) -> np.ndarray:
-        """No-tape array path: the whole QKV -> core -> output-projection
-        chain as fused numpy kernels, bit-identical to :meth:`forward`.
-        Attention dropout is identity here because the tape is off."""
-        q = fused.split_heads(fused.linear(query, self.q_proj.weight.data,
-                                           self.q_proj.bias.data),
-                              self.num_heads)
-        k = fused.split_heads(fused.linear(key, self.k_proj.weight.data,
-                                           self.k_proj.bias.data),
-                              self.num_heads)
-        v = fused.split_heads(fused.linear(value, self.v_proj.weight.data,
-                                           self.v_proj.bias.data),
-                              self.num_heads)
         score_bias = None
         if match_scores is not None and self.match_gain is not None:
-            score_bias = (self.match_gain.data.reshape(1, self.num_heads,
-                                                       1, 1)
-                          * match_scores[:, None, :, :])
-        context = fused.attention_core(
+            gain = self.match_gain.reshape(1, self.num_heads, 1, 1)
+            score_bias = gain * Tensor(match_scores[:, None, :, :])
+        dropout = self.attn_dropout
+        context = Tensor.attention_core(
             q, k, v, 1.0 / np.sqrt(self.head_dim),
             attention_mask=attention_mask, score_bias=score_bias,
-            mask_value=_NEG_INF)
-        return fused.linear(fused.merge_heads(context),
-                            self.out_proj.weight.data,
-                            self.out_proj.bias.data)
+            dropout=dropout.p if dropout.training else 0.0,
+            rng=dropout.rng)
+        return self.out_proj(merge_heads(context))
 
 
 def padding_attention_mask(pad_mask: np.ndarray) -> np.ndarray:

@@ -1,17 +1,20 @@
-"""Fused no-tape inference kernels for the hot op chains.
+"""The numpy kernels behind the differentiable ``Tensor`` ops.
 
-Pure-numpy forward kernels for the sequences that dominate inference
-cost: the affine map, GELU, softmax, layer norm, the feed-forward block
-and the scaled-dot-product attention core (QK^T -> bias -> mask ->
-softmax -> V).  Each kernel replicates the differentiable ``Tensor``
-path's numpy arithmetic operation for operation, so fused outputs are
-bit-identical to the op-by-op path; the equivalence is pinned by the
-bit-identity tests in ``tests/test_perf.py``.
+Pure-numpy forward math for the ops that dominate a transformer
+forward: the affine map, GELU, softmax, layer norm and the
+scaled-dot-product attention core (QK^T -> bias -> mask -> softmax ->
+dropout -> V).  :meth:`Tensor.linear`, :meth:`Tensor.gelu`,
+:meth:`Tensor.softmax`, :meth:`Tensor.layer_norm` and
+:meth:`Tensor.attention_core` compute their forward by calling these
+kernels and register a hand-written backward on top, so a model has
+exactly one forward: training runs it with the tape on, inference with
+the tape off.
 
-The kernels never allocate intermediate :class:`Tensor` objects and are
-only engaged while the tape is off (see
-:func:`repro.nn.is_fused_enabled`): modules check that flag and fall
-back to the differentiable path whenever gradients are required.
+Because every forward runs through this module it is also the dispatch
+point for the hooks that must see every layer: :func:`count_kernels`
+(kernel mix on forward spans), :func:`record_activations` (int8
+calibration) and :func:`quantized_inference` (the int8 overlay, which
+reroutes :func:`linear` and :func:`attention_core` to their q-kernels).
 """
 
 from __future__ import annotations
@@ -23,14 +26,12 @@ import numpy as np
 
 from .init import ACC_DTYPE
 
-__all__ = ["linear", "gelu", "softmax", "layer_norm", "feed_forward",
-           "split_heads", "merge_heads", "attention_core",
-           "count_kernels", "qlinear", "qfeed_forward",
-           "qattention_core", "quantized_inference",
-           "record_activations"]
+__all__ = ["linear", "gelu", "softmax", "normalize", "layer_norm",
+           "attention_core", "count_kernels", "qlinear", "qattention_core",
+           "quantized_inference", "record_activations"]
 
 # Thread-local kernel observation hook: when the tracing layer wants to
-# know which fused kernels a forward pass engaged (and how often), it
+# know which kernels a forward pass engaged (and how often), it
 # installs a callback for the duration of the pass.  Thread-local so
 # concurrent serving workers never see each other's counts; the
 # disabled path costs one getattr + falsy check per kernel call.
@@ -45,7 +46,7 @@ def _notify(kind: str) -> None:
 
 @contextmanager
 def count_kernels():
-    """Count fused-kernel invocations on this thread inside the block.
+    """Count kernel invocations on this thread inside the block.
 
     Yields a ``{kernel name: calls}`` dict that fills in as kernels run;
     used by the serving trace layer to attach kernel mix to forward
@@ -65,11 +66,11 @@ def count_kernels():
 
 
 # Thread-local quantization state.  ``overlay`` maps id(weight array) ->
-# QuantizedLinear and reroutes fused linear calls through the int8
-# kernels; ``record`` accumulates per-channel activation absmax during a
+# QuantizedLinear and reroutes linear calls through the int8 kernels;
+# ``record`` accumulates per-channel activation absmax during a
 # calibration sweep.  Both piggyback on the same dispatch point so the
-# model code needs zero changes: the fused path already funnels every
-# encoder linear through :func:`linear`.  Thread-local for the same
+# model code needs zero changes: every ``Linear`` forward funnels
+# through :func:`linear`.  Thread-local for the same
 # reason as ``_HOOK`` — concurrent serving workers must not see each
 # other's overlays.
 _QUANT = threading.local()
@@ -77,7 +78,7 @@ _QUANT = threading.local()
 
 @contextmanager
 def quantized_inference(overlay):
-    """Route fused linears through the int8 kernels inside the block.
+    """Route linear calls through the int8 kernels inside the block.
 
     ``overlay`` maps ``id(weight array) -> QuantizedLinear`` (built by
     :meth:`repro.nn.QuantizedWeights.overlay_for`).  Calls whose weight
@@ -94,13 +95,12 @@ def quantized_inference(overlay):
 
 @contextmanager
 def record_activations():
-    """Record per-channel input absmax of every fused linear call.
+    """Record per-channel input absmax of every :func:`linear` call.
 
     Yields a ``{id(weight array): absmax per input channel}`` dict that
     fills in as the calibration sweep runs; maxima accumulate across
     calls so one sweep over representative pairs yields the activation
-    range of each call site.  Only meaningful while the fused path is
-    engaged (tape off).
+    range of each call site.
     """
     previous = getattr(_QUANT, "record", None)
     ranges: dict[int, np.ndarray] = {}
@@ -122,7 +122,8 @@ def _record_absmax(ranges: dict[int, np.ndarray], weight: np.ndarray,
 
 def linear(x: np.ndarray, weight: np.ndarray,
            bias: np.ndarray | None = None) -> np.ndarray:
-    """Affine map ``x @ W^T + b`` with ``W`` stored (out, in)."""
+    """Affine map ``x @ W^T + b`` with ``W`` stored (out, in): the
+    forward of :meth:`Tensor.linear`."""
     overlay = getattr(_QUANT, "overlay", None)
     if overlay is not None:
         quantized = overlay.get(id(weight))
@@ -163,13 +164,15 @@ def qlinear(x: np.ndarray, quantized) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """GELU, tanh approximation — same arithmetic as :meth:`Tensor.gelu`."""
+    """GELU, tanh approximation (as in BERT): the forward of
+    :meth:`Tensor.gelu`."""
     _notify("gelu")
     c = float(np.sqrt(2.0 / np.pi))
-    # x * x * x matches Tensor.gelu exactly (and avoids the pow ufunc,
-    # ~100x slower than two multiplies).  In-place chain: every step is
-    # a commutative twin of the Tensor-path expression, so the bits
-    # match with four fewer activation-sized temporaries.
+    # 0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x))).  x * x * x,
+    # not x ** 3: numpy's pow ufunc is ~100x slower than two multiplies.
+    # The in-place chain saves four activation-sized temporaries, and
+    # each step is a commutative twin of the plain expression, so the
+    # backward of Tensor.gelu can recompute tanh(inner) bit for bit.
     t = x * x
     t *= x
     t *= 0.044715
@@ -184,75 +187,56 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 def softmax(x: np.ndarray, axis: int = -1,
             out: np.ndarray | None = None) -> np.ndarray:
-    """Shift-stabilized softmax — same arithmetic as :meth:`Tensor.softmax`.
+    """Shift-stabilized softmax: the forward of :meth:`Tensor.softmax`.
 
     Pass ``out=x`` only when the caller owns ``x``: the input is then
     consumed in place and no shifted copy is allocated at all.
     """
     _notify("softmax")
-    # Same op order as the Tensor path (subtract max, exp, divide by
-    # sum), in place on the shifted copy — attention scores are
-    # (B, H, T, T), the largest arrays in the forward.
+    # Subtract max, exp, divide by sum, in place on the shifted copy —
+    # attention scores are (B, H, T, T), the largest arrays in the
+    # forward.  The ufunc reductions are what ndarray.max / .sum run,
+    # minus their Python-level wrappers.
+    peak = np.maximum.reduce(x, axis=axis, keepdims=True)
     if out is x:
         shifted = x
-        shifted -= x.max(axis=axis, keepdims=True)
+        shifted -= peak
     else:
-        shifted = x - x.max(axis=axis, keepdims=True)
+        shifted = x - peak
     np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=axis, keepdims=True)
+    shifted /= np.add.reduce(shifted, axis=axis, keepdims=True)
     return shifted
+
+
+def normalize(x: np.ndarray,
+              eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+    """``(x - mean, 1 / sqrt(var + eps))`` over the last axis.
+
+    The arithmetic of ``x.mean(-1)`` and ``x.var(-1)`` step for step
+    (numpy sums, then divides by an ``intp`` count), so the results are
+    bitwise those of the two calls, but the centered array is formed
+    once and shared by the variance and the caller.  Layer norm's
+    forward and its backward both normalize through here.
+    """
+    count = np.intp(x.shape[-1])
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    np.true_divide(mean, count, out=mean, casting="unsafe")
+    centered = x - mean
+    var = np.add.reduce(np.square(centered), axis=-1, keepdims=True)
+    np.true_divide(var, count, out=var, casting="unsafe")
+    return centered, 1.0 / np.sqrt(var + eps)
 
 
 def layer_norm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                eps: float = 1e-5) -> np.ndarray:
-    """Layer norm over the last axis — same arithmetic as
+    """Layer norm over the last axis: the forward of
     :meth:`Tensor.layer_norm`."""
     _notify("layer_norm")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    out = x - mu
+    out, inv = normalize(x, eps)
     out *= inv
     out *= weight
     out += bias
     return out
-
-
-def feed_forward(x: np.ndarray, w_in: np.ndarray, b_in: np.ndarray,
-                 w_out: np.ndarray, b_out: np.ndarray) -> np.ndarray:
-    """The transformer FF block ``linear -> gelu -> linear``, fused."""
-    overlay = getattr(_QUANT, "overlay", None)
-    if overlay is not None:
-        q_in = overlay.get(id(w_in))
-        q_out = overlay.get(id(w_out))
-        if q_in is not None and q_out is not None:
-            return qfeed_forward(x, q_in, q_out)
-    _notify("feed_forward")
-    return linear(gelu(linear(x, w_in, b_in)), w_out, b_out)
-
-
-def qfeed_forward(x: np.ndarray, q_in, q_out) -> np.ndarray:
-    """The FF block over int8 weights: ``qlinear -> gelu -> qlinear``.
-
-    ``q_in`` / ``q_out`` are :class:`repro.nn.QuantizedLinear` payloads
-    for the expand and project weights; GELU runs in ``ACC_DTYPE``
-    between the two quantized contractions.
-    """
-    _notify("qfeed_forward")
-    return qlinear(gelu(qlinear(x, q_in)), q_out)
-
-
-def split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
-    """(B, T, D) -> (B, H, T, D/H) without a Tensor wrapper."""
-    batch, seq, dim = x.shape
-    return x.reshape(batch, seq, num_heads,
-                     dim // num_heads).transpose(0, 2, 1, 3)
-
-
-def merge_heads(x: np.ndarray) -> np.ndarray:
-    """(B, H, T, D/H) -> (B, T, D) without a Tensor wrapper."""
-    batch, heads, seq, head_dim = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(batch, seq, heads * head_dim)
 
 
 def attention_core(q: np.ndarray | None, k: np.ndarray | None,
@@ -260,26 +244,32 @@ def attention_core(q: np.ndarray | None, k: np.ndarray | None,
                    attention_mask: np.ndarray | None = None,
                    score_bias: np.ndarray | None = None,
                    mask_value: float = -1e9,
-                   scores: np.ndarray | None = None) -> np.ndarray:
-    """The QK^T -> bias -> mask -> softmax -> V core on (B, H, T, Dh).
+                   scores: np.ndarray | None = None,
+                   dropout_mask: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The QK^T -> bias -> mask -> softmax -> dropout -> V core on
+    (B, H, T, Dh): the forward of :meth:`Tensor.attention_core`.
 
-    Replicates the differentiable path op for op: scaled scores, optional
-    additive ``score_bias`` (the lexical match bias), boolean
-    ``attention_mask`` (True = masked) filled with ``mask_value``, then
-    softmax over keys and the value contraction.  Dropout is omitted —
-    the kernel only runs with the tape off, where dropout is identity.
-    Callers with a non-standard score map (XLNet's relative-position
-    scores) pass pre-scaled ``scores`` directly and may leave ``q``/``k``
-    as None; only the bias -> mask -> softmax -> V tail runs then.
+    Scaled scores, optional additive ``score_bias`` (the lexical match
+    bias), boolean ``attention_mask`` (True = masked) filled with
+    ``mask_value``, softmax over keys, an optional inverted-dropout
+    ``dropout_mask`` on the probabilities (training only), then the
+    value contraction.  Callers with a non-standard score map (XLNet's
+    relative-position scores) pass pre-scaled ``scores`` directly and
+    leave ``q``/``k`` as None; only the bias -> ... -> V tail runs then.
+
+    Returns ``(context, probs)``; ``probs`` are the attention weights
+    before dropout, which the op's backward needs.
     """
     if getattr(_QUANT, "overlay", None) is not None:
         return qattention_core(q, k, v, scale,
                                attention_mask=attention_mask,
                                score_bias=score_bias,
-                               mask_value=mask_value, scores=scores)
+                               mask_value=mask_value, scores=scores,
+                               dropout_mask=dropout_mask)
     _notify("attention_core")
     return _attention_math(q, k, v, scale, attention_mask, score_bias,
-                           mask_value, scores)
+                           mask_value, scores, dropout_mask)
 
 
 def qattention_core(q: np.ndarray | None, k: np.ndarray | None,
@@ -287,7 +277,9 @@ def qattention_core(q: np.ndarray | None, k: np.ndarray | None,
                     attention_mask: np.ndarray | None = None,
                     score_bias: np.ndarray | None = None,
                     mask_value: float = -1e9,
-                    scores: np.ndarray | None = None) -> np.ndarray:
+                    scores: np.ndarray | None = None,
+                    dropout_mask: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`attention_core` pinned to the quantized accumulation dtype.
 
     Under a quantized overlay Q/K/V arrive from :func:`qlinear` already
@@ -304,17 +296,15 @@ def qattention_core(q: np.ndarray | None, k: np.ndarray | None,
         scores = np.asarray(scores, dtype=ACC_DTYPE)
     v = np.asarray(v, dtype=ACC_DTYPE)
     return _attention_math(q, k, v, scale, attention_mask, score_bias,
-                           mask_value, scores)
+                           mask_value, scores, dropout_mask)
 
 
 def _attention_math(q, k, v, scale, attention_mask, score_bias,
-                    mask_value, scores):
+                    mask_value, scores, dropout_mask):
     owned = scores is None
     if owned:
         # float() strips numpy scalar types: they are not "weak" under
-        # NEP 50 and would silently upcast float32 scores to float64,
-        # breaking bit-identity with the Tensor path (whose scalar ops
-        # coerce the same way).
+        # NEP 50 and would silently upcast float32 scores to float64.
         scores = q @ np.swapaxes(k, -1, -2)
         scores *= float(scale)
     if score_bias is not None:
@@ -333,4 +323,5 @@ def _attention_math(q, k, v, scale, attention_mask, score_bias,
             scores = np.where(mask, mask_value, scores)
             owned = True
     probs = softmax(scores, axis=-1, out=scores if owned else None)
-    return probs @ v
+    dropped = probs if dropout_mask is None else probs * dropout_mask
+    return dropped @ v, probs

@@ -8,8 +8,8 @@ from . import init
 from .module import Module, Parameter
 from .tensor import Tensor
 
-__all__ = ["Linear", "Embedding", "LayerNorm", "Dropout", "Sequential",
-           "GELU", "ReLU", "Tanh"]
+__all__ = ["Linear", "PlainLinear", "Embedding", "LayerNorm", "Dropout",
+           "Sequential", "GELU", "ReLU", "Tanh"]
 
 
 class Linear(Module):
@@ -28,6 +28,19 @@ class Linear(Module):
         self.weight = Parameter(init.normal(rng, (out_features, in_features),
                                             std=std))
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
+
+    def forward(self, x: Tensor) -> Tensor:
+        return x.linear(self.weight, self.bias)
+
+
+class PlainLinear(Linear):
+    """A :class:`Linear` kept outside the kernel dispatch.
+
+    Its forward is plain ``@`` / ``+`` tape ops instead of
+    :meth:`Tensor.linear`, so the int8 overlay, activation recording and
+    kernel counts never see it.  Used for the layers that stay float:
+    the classifier head, the poolers and the match projections.
+    """
 
     def forward(self, x: Tensor) -> Tensor:
         out = x @ self.weight.T
@@ -77,12 +90,12 @@ class Dropout(Module):
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout probability must be in [0, 1): {p}")
         self.p = p
-        self._rng = rng
+        self.rng = rng
 
     def forward(self, x: Tensor) -> Tensor:
         if not self.training or self.p == 0.0:
             return x
-        return x.dropout(self.p, self._rng)
+        return x.dropout(self.p, self.rng)
 
 
 class Sequential(Module):

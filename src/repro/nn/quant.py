@@ -1,4 +1,4 @@
-"""int8 per-channel post-training quantization for the fused path.
+"""int8 per-channel post-training quantization for inference.
 
 The quantization scheme is symmetric per-output-channel for weights and
 symmetric per-tensor for activations, the standard recipe for
@@ -7,9 +7,9 @@ transformer inference (DESIGN.md §16):
 * each Linear weight row ``W[o, :]`` is stored as int8 with a float
   scale ``s_o = absmax(W[o, :]) / 127`` so ``W ≈ q * s_o``;
 * activation ranges come from a *calibration sweep*: representative
-  pairs run through the fused path under
+  pairs run through the tape-off forward under
   :func:`repro.nn.fused.record_activations`, which records the
-  per-input-channel absmax seen at every fused linear call site; the
+  per-input-channel absmax seen at every linear call site; the
   per-tensor activation scale is ``max(range) / 127``;
 * at inference the input is fake-quantized to the int8 grid, the
   contraction accumulates in ``ACC_DTYPE`` (float32), and the output is
@@ -221,15 +221,15 @@ class QuantizedWeights:
 
 def calibrate_quantization(module, sweep: Callable[[], object],
                            metadata: dict | None = None) -> QuantizedWeights:
-    """Calibrate int8 quantization for every fused linear ``module`` runs.
+    """Calibrate int8 quantization for every linear ``module`` runs.
 
     ``sweep`` is a zero-argument callable that pushes representative
-    inputs through the model's *fused* forward path (tape off, fused
-    kernels on) — typically a closure over
-    :meth:`repro.matching.MatchEngine.score_pairs` on calibration
-    pairs.  The sweep runs under
-    :func:`repro.nn.fused.record_activations`; every weight the fused
-    path touched is then quantized per-channel and paired with its
+    inputs through the model's forward with the tape off — typically a
+    closure over :meth:`repro.matching.MatchEngine.score_pairs` on
+    calibration pairs.  The sweep runs under
+    :func:`repro.nn.fused.record_activations`; every weight the
+    forward's :meth:`~repro.nn.Tensor.linear` calls touched is then
+    quantized per-channel and paired with its
     recorded activation range.  Weights the sweep never exercised stay
     float — quantization only ever applies where calibration data
     exists.
@@ -240,8 +240,8 @@ def calibrate_quantization(module, sweep: Callable[[], object],
         sweep()
     if not ranges:
         raise ValueError(
-            "calibration sweep recorded no fused linear calls — it must "
-            "run with gradients off and fused kernels enabled")
+            "calibration sweep recorded no linear calls — it must run "
+            "a model forward")
     params = dict(module.named_parameters())
     by_id = {id(param.data): name for name, param in params.items()}
     layers: dict[str, QuantizedLinear] = {}

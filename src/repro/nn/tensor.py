@@ -8,7 +8,11 @@ accumulates gradients into ``.grad``.
 
 Only the operations needed by the transformer architectures, the RNN
 baseline and their training loops are implemented, but each is implemented
-fully (broadcasting-aware, batched where applicable).
+fully (broadcasting-aware, batched where applicable).  The ops that carry
+a transformer forward (``linear``, ``gelu``, ``softmax``, ``layer_norm``,
+``attention_core``) take their forward from the numpy kernels in
+:mod:`repro.nn.fused`, so a model has one forward whether the tape is on
+(training) or off (inference).
 """
 
 from __future__ import annotations
@@ -17,15 +21,12 @@ import functools
 
 import numpy as np
 
+from . import fused
 from .init import DTYPE
 
-__all__ = ["Tensor", "no_grad", "inference_mode", "fused_kernels",
-           "is_grad_enabled", "is_fused_enabled"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
 _GRAD_ENABLED = True
-# Fused no-tape kernels (repro.nn.fused) are bit-identical to the op-by-op
-# path, so they default on; they only ever engage while the tape is off.
-_FUSED_ENABLED = True
 
 
 class no_grad:
@@ -41,20 +42,15 @@ class no_grad:
     def __init__(self):
         self._saved: list[bool] = []
 
-    def _state(self) -> bool:
-        return _GRAD_ENABLED
-
-    def _apply(self, entering: bool) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = False if entering else self._saved.pop()
-
     def __enter__(self):
-        self._saved.append(self._state())
-        self._apply(entering=True)
+        global _GRAD_ENABLED
+        self._saved.append(_GRAD_ENABLED)
+        _GRAD_ENABLED = False
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self._apply(entering=False)
+        global _GRAD_ENABLED
+        _GRAD_ENABLED = self._saved.pop()
         return False
 
     def __call__(self, func):
@@ -72,60 +68,9 @@ class no_grad:
         return wrapper
 
 
-class inference_mode(no_grad):
-    """``no_grad`` plus the fused no-tape kernels, in one block.
-
-    The strongest inference setting: the tape is off, ``Tensor._make``
-    short-circuits graph construction, and the hot op chains (attention
-    core, feed-forward, softmax/gelu/layer-norm) run as single fused
-    numpy kernels with no intermediate ``Tensor`` allocations.  Outputs
-    are bit-identical to the unfused path.
-    """
-
-    def _state(self) -> tuple[bool, bool]:
-        return (_GRAD_ENABLED, _FUSED_ENABLED)
-
-    def _apply(self, entering: bool) -> None:
-        global _GRAD_ENABLED, _FUSED_ENABLED
-        if entering:
-            _GRAD_ENABLED, _FUSED_ENABLED = False, True
-        else:
-            _GRAD_ENABLED, _FUSED_ENABLED = self._saved.pop()
-
-
-class fused_kernels(no_grad):
-    """Toggle the fused no-tape kernels without touching the tape flag.
-
-    ``with fused_kernels(False):`` forces the op-by-op reference path
-    even under ``no_grad`` — used by the bit-identity tests and by
-    ``repro match --no-fast``.  Fusion still only engages while
-    gradients are disabled, whatever this flag says.
-    """
-
-    def __init__(self, enabled: bool = True):
-        super().__init__()
-        self._enabled = bool(enabled)
-
-    def _state(self) -> bool:
-        return _FUSED_ENABLED
-
-    def _apply(self, entering: bool) -> None:
-        global _FUSED_ENABLED
-        _FUSED_ENABLED = self._enabled if entering else self._saved.pop()
-
-
 def is_grad_enabled() -> bool:
     """Return whether operations currently record backward closures."""
     return _GRAD_ENABLED
-
-
-def is_fused_enabled() -> bool:
-    """Whether the fused no-tape kernels are active *right now*.
-
-    True only when fusion is switched on **and** the tape is off: fused
-    kernels never run where gradients are required.
-    """
-    return _FUSED_ENABLED and not _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -160,6 +105,14 @@ def _as_array(value) -> np.ndarray:
         # precision, like float arrays do.
         return np.asarray(value)
     return np.asarray(value, dtype=DTYPE)
+
+
+def _dropout_mask(shape: tuple[int, ...], p: float,
+                  rng: np.random.Generator, dtype) -> np.ndarray:
+    """Inverted-dropout multiplier: 0 with probability ``p``, else
+    ``1 / (1 - p)``."""
+    keep = 1.0 - p
+    return ((rng.random(shape) < keep) / keep).astype(dtype)
 
 
 class Tensor:
@@ -427,20 +380,16 @@ class Tensor:
 
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation, as in BERT)."""
-        x = self.data
-        c = float(np.sqrt(2.0 / np.pi))
-        # x * x * x, not x ** 3: numpy's pow ufunc is ~100x slower than
-        # two multiplies and GELU sits on the inference hot path.  The
-        # fused kernel (repro.nn.fused.gelu) uses the identical
-        # expression so the two paths stay bit-identical.
-        inner = c * (x + 0.044715 * (x * x * x))
-        t = np.tanh(inner)
-        data = 0.5 * x * (1.0 + t)
-        out = self._make(data, (self,))
+        out = self._make(fused.gelu(self.data), (self,))
         if out.requires_grad:
-            def _backward(grad, a=self, t=t, inner_c=c):
+            def _backward(grad, a=self):
                 x = a.data
-                dt = (1.0 - t * t) * inner_c * (1.0 + 3 * 0.044715 * (x * x))
+                c = float(np.sqrt(2.0 / np.pi))
+                # The kernel's tanh(inner), recomputed: the same
+                # expression rounds the same way, so no forward state
+                # needs to be kept alive on the tape.
+                t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+                dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * (x * x))
                 a._accumulate(grad * (0.5 * (1.0 + t) + 0.5 * x * dt))
             out._backward = _backward
         return out
@@ -582,9 +531,7 @@ class Tensor:
         return out
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        data = exp / exp.sum(axis=axis, keepdims=True)
+        data = fused.softmax(self.data, axis=axis)
         out = self._make(data, (self,))
         if out.requires_grad:
             def _backward(grad, a=self, s=data, axis=axis):
@@ -609,9 +556,7 @@ class Tensor:
         """Inverted dropout; identity when grad is disabled (inference)."""
         if not _GRAD_ENABLED or p <= 0.0:
             return self
-        keep = 1.0 - p
-        mask = ((rng.random(self.data.shape) < keep) / keep).astype(
-            self.data.dtype)
+        mask = _dropout_mask(self.data.shape, p, rng, self.data.dtype)
         out = self._make(self.data * mask, (self,))
         if out.requires_grad:
             def _backward(grad, a=self, m=mask):
@@ -621,28 +566,118 @@ class Tensor:
 
     def layer_norm(self, weight: "Tensor", bias: "Tensor",
                    eps: float = 1e-5) -> "Tensor":
-        """Fused layer normalization over the last axis."""
-        mu = self.data.mean(axis=-1, keepdims=True)
-        var = self.data.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        x_hat = (self.data - mu) * inv
-        data = x_hat * weight.data + bias.data
+        """Layer normalization over the last axis."""
+        data = fused.layer_norm(self.data, weight.data, bias.data, eps=eps)
         out = self._make(data, (self, weight, bias))
         if out.requires_grad:
-            def _backward(grad, a=self, w=weight, b=bias, x_hat=x_hat, inv=inv):
+            def _backward(grad, a=self, w=weight, b=bias, eps=eps):
+                # The kernel's normalization, recomputed from the saved
+                # input by the same function (so the same bits).
+                centered, inv = fused.normalize(a.data, eps)
+                x_hat = centered * inv
+                axes = tuple(range(grad.ndim - 1))
                 if w.requires_grad:
-                    axes = tuple(range(grad.ndim - 1))
                     w._accumulate((grad * x_hat).sum(axis=axes))
                 if b.requires_grad:
-                    axes = tuple(range(grad.ndim - 1))
                     b._accumulate(grad.sum(axis=axes))
                 if a.requires_grad:
-                    n = a.data.shape[-1]
                     g = grad * w.data
                     term1 = g
                     term2 = g.mean(axis=-1, keepdims=True)
                     term3 = x_hat * (g * x_hat).mean(axis=-1, keepdims=True)
                     a._accumulate(inv * (term1 - term2 - term3))
+            out._backward = _backward
+        return out
+
+    def linear(self, weight: "Tensor",
+               bias: "Tensor | None" = None) -> "Tensor":
+        """Affine map ``self @ weight^T + bias``, ``weight`` stored (out, in).
+
+        The forward is :func:`repro.nn.fused.linear`, the one dispatch
+        point for the int8 overlay, activation recording and kernel
+        counts.  The backward is the one the ``@`` / transpose / ``+``
+        chain would record, operand layouts included, so its gradients
+        match that chain bit for bit.
+        """
+        parents = (self, weight) if bias is None else (self, weight, bias)
+        data = fused.linear(self.data, weight.data,
+                            None if bias is None else bias.data)
+        out = self._make(data, parents)
+        if out.requires_grad:
+            def _backward(grad, x=self, w=weight, b=bias):
+                if x.requires_grad:
+                    x._accumulate(_unbroadcast(grad @ w.data, x.data.shape))
+                if w.requires_grad:
+                    gw = np.swapaxes(x.data, -1, -2) @ grad
+                    w._accumulate(_unbroadcast(gw, w.data.T.shape).T)
+                if b is not None and b.requires_grad:
+                    b._accumulate(_unbroadcast(grad, b.data.shape))
+            out._backward = _backward
+        return out
+
+    @staticmethod
+    def attention_core(q: "Tensor | None", k: "Tensor | None",
+                       v: "Tensor", scale: float,
+                       attention_mask: np.ndarray | None = None,
+                       score_bias: "Tensor | None" = None,
+                       scores: "Tensor | None" = None,
+                       dropout: float = 0.0,
+                       rng: np.random.Generator | None = None) -> "Tensor":
+        """Scaled dot-product attention over (B, H, T, Dh) heads.
+
+        ``softmax(q @ k^T * scale + score_bias) @ v`` with boolean
+        ``attention_mask`` entries (True = masked) excluded from the
+        softmax and inverted dropout of rate ``dropout`` (drawn from
+        ``rng``, only while the tape is on) on the probabilities.  XLNet
+        passes its own pre-scaled relative-position ``scores`` instead of
+        ``q``/``k``.  The forward is :func:`repro.nn.fused.attention_core`;
+        the backward is written out by hand.
+        """
+        # v last: the tape walk then visits the operands in the order it
+        # did when this core was a chain of separate ops, so gradients
+        # into shared inputs accumulate in the same order.
+        operands = tuple(t for t in (q, k, scores, score_bias)
+                         if t is not None)
+        drop = None
+        if dropout > 0.0 and _GRAD_ENABLED:
+            shape = (scores.shape if scores is not None
+                     else q.shape[:-1] + (k.shape[-2],))
+            dtype = np.result_type(*(t.data for t in operands))
+            drop = _dropout_mask(shape, dropout, rng, dtype)
+        context, probs = fused.attention_core(
+            None if q is None else q.data, None if k is None else k.data,
+            v.data, scale, attention_mask=attention_mask,
+            score_bias=None if score_bias is None else score_bias.data,
+            scores=None if scores is None else scores.data,
+            dropout_mask=drop)
+        out = v._make(context, operands + (v,))
+        if out.requires_grad:
+            def _backward(grad):
+                dropped = probs if drop is None else probs * drop
+                if v.requires_grad:
+                    v._accumulate(_unbroadcast(
+                        np.swapaxes(dropped, -1, -2) @ grad, v.data.shape))
+                g = grad @ np.swapaxes(v.data, -1, -2)
+                if drop is not None:
+                    g = g * drop
+                g = probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+                if attention_mask is not None:
+                    g = np.where(np.asarray(attention_mask, dtype=bool),
+                                 0.0, g)
+                if score_bias is not None and score_bias.requires_grad:
+                    score_bias._accumulate(
+                        _unbroadcast(g, score_bias.data.shape))
+                if scores is not None:
+                    if scores.requires_grad:
+                        scores._accumulate(
+                            _unbroadcast(g, scores.data.shape))
+                    return
+                g = g * float(scale)
+                if q.requires_grad:
+                    q._accumulate(_unbroadcast(g @ k.data, q.data.shape))
+                if k.requires_grad:
+                    gk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ g, -1, -2)
+                    k._accumulate(_unbroadcast(gk, k.data.shape))
             out._backward = _backward
         return out
 

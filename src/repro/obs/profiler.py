@@ -73,6 +73,19 @@ def _estimate_flops(kind: str, out_size: int, parents) -> float:
         # left operand: 2*M*N*K multiply-adds per output row/col pair.
         inner = parents[0].data.shape[-1] if parents else 1
         return 2.0 * out_size * inner
+    if kind == "linear":
+        # x @ W^T (2*M*N*K, K = the input width) plus the bias add.
+        return (2.0 * parents[0].data.shape[-1] + (len(parents) == 3)) \
+            * out_size
+    if kind == "attention_core":
+        # The P @ V contraction, plus Q @ K^T when the op forms the
+        # scores itself (q leads the operands, v closes them), plus ~10
+        # FLOPs per score for scale, bias, mask, softmax and dropout.
+        values = parents[-1].data
+        head_dim, keys = values.shape[-1], values.shape[-2]
+        scores = out_size // head_dim * keys
+        contractions = 2 if parents[0].data.shape[-1] == head_dim else 1
+        return (2.0 * head_dim * contractions + 10.0) * scores
     if kind in _MOVEMENT:
         return 0.0
     if kind in ("sum", "max"):

@@ -3,10 +3,10 @@
 Four layers, one goal — make the matching hot path as fast as the
 hardware allows without changing a single logit:
 
-* **Fused no-tape kernels** live in :mod:`repro.nn` (``inference_mode``,
-  ``fused_kernels``, ``repro.nn.fused``): with the tape off, the hot op
-  chains run as single numpy kernels, bit-identical to the op-by-op
-  path.
+* **Kernels** live in :mod:`repro.nn.fused`: they are the forward of the
+  differentiable ops (``Tensor.linear`` / ``gelu`` / ``softmax`` /
+  ``layer_norm`` / ``attention_core``), so inference is the one model
+  forward under ``no_grad``, where ``Tensor._make`` skips the tape.
 * **Length-bucketed batching** (:mod:`repro.perf.bucketing`): sort
   sequences by real token count, batch neighbors, trim right-padded
   batches to their own max length.

@@ -1,13 +1,13 @@
 """The performance benchmark behind ``repro bench perf`` (schema v2).
 
 Measures ``match_many`` throughput (pairs/sec) for every architecture
-under the pre-optimization path (serial per-pair matching, fused kernels
-off, no tokenization cache), the fast path (length-bucketed batches,
-fused no-tape kernels, tokenization cache), and — new in schema 2 — the
+under the baseline path (serial per-pair matching, no tokenization
+cache), the fast path (length-bucketed batches, tokenization cache), and
+— new in schema 2 — the
 **int8 quantized** fast path (calibrated per-channel kernels, see
 DESIGN.md §16) plus the **DistilBERT→RoBERTa confidence cascade**.  The
 cascade section carries the headline aggregate number: cascade pairs/sec
-over the RoBERTa pre-optimization baseline on the same workload, gated
+over the RoBERTa serial baseline on the same workload, gated
 at ≥4× with cascade F1 within tolerance of RoBERTa-only.
 
 Every acceptance floor lives in :class:`PerfGates` (per-architecture
@@ -186,19 +186,16 @@ def _fit_matcher(arch: str, splits, seed: int, zoo_dir):
 
 def _bench_arch(matcher, pairs, batch_size: int, config: PerfConfig,
                 calibration, holdout) -> dict:
-    from ..nn import fused_kernels
     from ..obs import default_registry
     tokenizer = matcher.pretrained.tokenizer
 
-    # Baseline: the pre-optimization path — per-pair serial matching,
-    # op-by-op kernels, no tokenization cache.
+    # Baseline: per-pair serial matching without the tokenization cache,
+    # through the same tape-off forward as the fast path.
     tokenizer.cache = None
-    with fused_kernels(False):
-        baseline_seconds, baseline = _best_seconds(
-            lambda: matcher.match_many(pairs, fast=False),
-            config.repeats)
+    baseline_seconds, baseline = _best_seconds(
+        lambda: matcher.match_many(pairs, fast=False), config.repeats)
 
-    # Fast path: bucketed batches + fused no-tape kernels + cache.
+    # Fast path: bucketed batches + tokenization cache.
     cache = matcher.ensure_token_cache()
     registry = default_registry()
     fast_seconds, fast = _best_seconds(

@@ -14,8 +14,7 @@ untrimmed forward up to float summation order.  Left-padded batches
 (XLNet, CLS at the sequence end) are *not* trimmed — XLNet's relative-
 position score table is a function of the padded length, so shortening
 the sequence would change the logits, not just their rounding.  Those
-batches still benefit from length-sorted batching and the fused no-tape
-path.
+batches still benefit from length-sorted batching.
 """
 
 from __future__ import annotations

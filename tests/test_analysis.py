@@ -147,9 +147,9 @@ class TestLintRules:
         assert not _only(good, "RA110", package="repro.matching.api")
 
     def test_ra110_delegation_and_inference_mode(self):
-        source = ("from repro.nn import inference_mode\n"
+        source = ("from repro.nn import no_grad\n"
                   "def _match_fast(pairs, model):\n"
-                  "    with inference_mode():\n"
+                  "    with no_grad():\n"
                   "        return [model(p) for p in pairs]\n"
                   "def match_many(pairs, model):\n"
                   "    return _match_fast(pairs, model)\n")

@@ -10,7 +10,8 @@ from repro.models import (ARCHITECTURES, BertModel, DistilBertModel,
                           build_pretraining_head, default_config,
                           permutation_masks, sinusoidal_positions)
 from repro.models.transformer import (cross_match_features,
-                                      lexical_match_scores)
+                                      lexical_match_scores,
+                                      match_bias_inputs)
 from repro.nn import Tensor, cross_entropy, no_grad
 
 
@@ -156,6 +157,18 @@ class TestMatchFeatures:
         feats = cross_match_features(table, ids, segments, {0})
         assert np.allclose(feats[0, 0], 0.0)
 
+    def test_match_bias_inputs_equal_separate_computations(self, rng):
+        table = rng.normal(size=(20, 8)).astype(np.float32)
+        ids = rng.integers(0, 20, size=(3, 6))
+        segments = np.array([[0, 0, 0, 1, 1, 1]] * 3)
+        features, scores = match_bias_inputs(table, ids, segments, {0})
+        assert np.array_equal(
+            features, cross_match_features(table, ids, segments, {0}))
+        assert np.array_equal(scores, lexical_match_scores(table, ids, {0}))
+        features, scores = match_bias_inputs(table, ids, None, {0})
+        assert features is None
+        assert np.array_equal(scores, lexical_match_scores(table, ids, {0}))
+
     def test_match_bias_off_uses_no_extra_params(self, rng):
         config_on = _tiny("bert")
         config_off = _tiny("bert")
@@ -230,6 +243,20 @@ class TestHeads:
         classifier.eval()
         probs = classifier.predict_proba(rng.integers(5, 60, size=(3, 8)))
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-5)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_predict_proba_rejects_negative_ids(self, rng, arch):
+        # Inference runs the same forward as training, embedding range
+        # check included: id -1 must raise, not wrap to the last row.
+        config = _tiny(arch)
+        classifier = SequenceClassifier(build_backbone(config, rng),
+                                        config, rng)
+        classifier.eval()
+        ids = rng.integers(5, 60, size=(2, 8))
+        ids[0, 3] = -1
+        with no_grad(), pytest.raises(IndexError):
+            classifier.predict_proba(ids, segment_ids=np.zeros_like(ids),
+                                     pad_mask=np.zeros(ids.shape, bool))
 
     def test_pretraining_heads(self, rng):
         for arch in ARCHITECTURES:

@@ -1,6 +1,7 @@
 """Deep numerical gradient checks of composite blocks.
 
-These go beyond per-op checks: whole attention/encoder blocks, XLNet's
+These go beyond per-op checks: the kernel-backed ``linear`` and
+``attention_core`` ops, whole attention/encoder blocks, XLNet's
 relative attention with its gather-based position scoring, and the
 two-stream path, verified against central differences in float64.
 """
@@ -16,7 +17,9 @@ from repro.models.transformer import TransformerEncoder, \
     TransformerEncoderLayer
 from repro.models.xlnet import XLNetLayer, XLNetRelativeAttention, \
     permutation_masks
-from repro.nn import GELU, MultiHeadAttention, ReLU, Tanh, Tensor
+from repro.nn import (GELU, Linear, MultiHeadAttention, PlainLinear, ReLU,
+                      Tanh, Tensor, no_grad)
+from repro.nn.fused import count_kernels
 
 from conftest import numerical_gradient
 
@@ -26,6 +29,166 @@ def _to64(module):
     for param in module.parameters():
         param.data = param.data.astype(np.float64)
     return module
+
+
+def _assert_gradcheck(loss, arrays, tol=1e-6):
+    """Backward of ``loss(*tensors)`` vs central differences, per array.
+
+    ``arrays`` may hold None for absent optional operands.
+    """
+    tensors = [None if a is None else Tensor(a, requires_grad=True)
+               for a in arrays]
+    loss(*tensors).backward()
+
+    def value():
+        return float(loss(*[None if a is None else Tensor(a)
+                            for a in arrays]).data)
+
+    for array, tensor in zip(arrays, tensors):
+        if array is not None:
+            numeric = numerical_gradient(value, array)
+            assert np.abs(numeric - tensor.grad).max() < tol
+
+
+class TestLinearOpGradients:
+    """``Tensor.linear``: the ``fused.linear`` forward under a
+    hand-written backward."""
+
+    @pytest.mark.parametrize("with_bias", [True, False],
+                             ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("shape", [(4, 5), (2, 3, 5)],
+                             ids=["2d", "3d"])
+    def test_linear_gradients(self, rng, shape, with_bias):
+        x = rng.normal(size=shape)
+        weight = rng.normal(size=(3, 5))
+        bias = rng.normal(size=(3,)) if with_bias else None
+
+        def loss(x, weight, bias):
+            return (x.linear(weight, bias) ** 2).sum()
+
+        _assert_gradcheck(loss, [x, weight, bias])
+
+    @pytest.mark.parametrize("shape", [(4, 5), (2, 3, 5)],
+                             ids=["2d", "3d"])
+    def test_linear_matches_op_chain_bitwise(self, rng, shape):
+        arrays = [rng.normal(size=shape), rng.normal(size=(3, 5)),
+                  rng.normal(size=(3,))]
+        upstream = rng.normal(size=shape[:-1] + (3,))
+        fused = [Tensor(a, requires_grad=True) for a in arrays]
+        chain = [Tensor(a, requires_grad=True) for a in arrays]
+        out = fused[0].linear(fused[1], fused[2])
+        ref = chain[0] @ chain[1].T + chain[2]
+        out.backward(upstream)
+        ref.backward(upstream)
+        assert np.array_equal(out.data, ref.data)
+        for a, b in zip(fused, chain):
+            assert np.array_equal(a.grad, b.grad)
+
+    def test_plain_linear_stays_outside_kernel_dispatch(self, rng):
+        linear = Linear(5, 3, rng)
+        plain = PlainLinear(5, 3, rng)
+        plain.weight.data = linear.weight.data.copy()
+        x = Tensor(rng.normal(size=(2, 4, 5)))
+        with count_kernels() as counts:
+            fused = linear(x)
+        assert counts == {"linear": 1}
+        with count_kernels() as counts:
+            plain_out = plain(x)
+        assert counts == {}
+        assert np.array_equal(fused.data, plain_out.data)
+
+
+class TestAttentionCoreGradients:
+    """``Tensor.attention_core``: the ``fused.attention_core`` forward
+    under one hand-written backward, in every mode the models use."""
+
+    def _qkv(self, rng):
+        return [rng.normal(size=(2, 2, 4, 3)) for _ in range(3)]
+
+    def _mask(self):
+        mask = np.zeros((2, 1, 1, 4), dtype=bool)
+        mask[0, ..., -1] = True
+        return mask
+
+    def test_qkv_gradients_with_mask(self, rng):
+        mask = self._mask()
+
+        def loss(q, k, v):
+            return (Tensor.attention_core(q, k, v, 0.5,
+                                          attention_mask=mask) ** 2).sum()
+
+        _assert_gradcheck(loss, self._qkv(rng))
+
+    def test_score_bias_gradient_reaches_match_gain(self, rng):
+        match = rng.normal(size=(2, 4, 4))
+        gain = rng.normal(size=(2,))
+        mask = self._mask()
+
+        def loss(q, k, v, gain):
+            bias = gain.reshape(1, 2, 1, 1) * Tensor(match[:, None])
+            return (Tensor.attention_core(q, k, v, 0.5,
+                                          attention_mask=mask,
+                                          score_bias=bias) ** 2).sum()
+
+        _assert_gradcheck(loss, self._qkv(rng) + [gain])
+
+    def test_precomputed_scores_mode(self, rng):
+        scores = rng.normal(size=(2, 2, 4, 4))
+        v = rng.normal(size=(2, 2, 4, 3))
+        bias = rng.normal(size=(2, 2, 4, 4))
+        mask = self._mask()
+
+        def loss(scores, v, bias):
+            return (Tensor.attention_core(None, None, v, 1.0,
+                                          attention_mask=mask,
+                                          score_bias=bias,
+                                          scores=scores) ** 2).sum()
+
+        _assert_gradcheck(loss, [scores, v, bias])
+
+    def test_dropout_under_fixed_rng(self, rng):
+        def loss(q, k, v):
+            # A fresh generator per call: every evaluation of the
+            # numerical gradient sees the same dropout mask.
+            return (Tensor.attention_core(
+                q, k, v, 0.5, dropout=0.3,
+                rng=np.random.default_rng(5)) ** 2).sum()
+
+        arrays = self._qkv(rng)
+        _assert_gradcheck(loss, arrays)
+        q, k, v = map(Tensor, arrays)
+        dropped = Tensor.attention_core(q, k, v, 0.5, dropout=0.3,
+                                        rng=np.random.default_rng(5))
+        with no_grad():
+            # Inference: dropout is the identity, and draws nothing.
+            plain = Tensor.attention_core(q, k, v, 0.5, dropout=0.3,
+                                          rng=None)
+        assert not np.array_equal(dropped.data, plain.data)
+        assert np.array_equal(
+            plain.data, Tensor.attention_core(q, k, v, 0.5).data)
+
+    def test_matches_op_chain_bitwise(self, rng):
+        """Forward and every gradient equal the QK^T -> bias -> mask ->
+        softmax -> dropout -> V chain of primitive ops, bit for bit."""
+        arrays = self._qkv(rng) + [rng.normal(size=(2, 2, 4, 4))]
+        arrays = [a.astype(np.float32) for a in arrays]
+        mask = self._mask()
+        upstream = rng.normal(size=(2, 2, 4, 3)).astype(np.float32)
+        core = [Tensor(a, requires_grad=True) for a in arrays]
+        chain = [Tensor(a, requires_grad=True) for a in arrays]
+        scale = 1.0 / np.sqrt(3)
+        out = Tensor.attention_core(*core[:3], scale, attention_mask=mask,
+                                    score_bias=core[3], dropout=0.2,
+                                    rng=np.random.default_rng(1))
+        q, k, v, bias = chain
+        scores = (q @ k.swapaxes(-1, -2)) * scale + bias
+        probs = scores.masked_fill(mask, -1e9).softmax(axis=-1)
+        ref = probs.dropout(0.2, np.random.default_rng(1)) @ v
+        out.backward(upstream)
+        ref.backward(upstream)
+        assert np.array_equal(out.data, ref.data)
+        for a, b in zip(core, chain):
+            assert np.array_equal(a.grad, b.grad)
 
 
 class TestAttentionGradients:

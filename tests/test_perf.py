@@ -2,10 +2,10 @@
 
 Three contracts anchor the whole ``repro.perf`` layer:
 
-1. fused kernels change *when* math runs, never *what* it computes —
-   logits are bit-identical to the op-by-op forward;
-2. the fused path is structurally unreachable while gradients are
-   enabled, so training can never silently skip the tape;
+1. a model has one forward — with the tape off (inference) it returns
+   the same bits as with the tape on (training), in eval mode;
+2. gradients flow through the kernel-backed ops, and ``no_grad``
+   restores the tape state on every exit path;
 3. the bucketed ``match_many`` engine returns the same decisions in the
    same order as the serial path, with per-pair isolation intact.
 """
@@ -24,8 +24,7 @@ import pytest
 from repro.data import load_benchmark, split_dataset
 from repro.matching import (EncodedPairs, EntityMatcher, FineTuneConfig,
                             encode_dataset, iter_bucketed)
-from repro.nn import (Tensor, fused_kernels, inference_mode,
-                      is_fused_enabled, is_grad_enabled, no_grad)
+from repro.nn import is_grad_enabled, no_grad
 from repro.obs import MetricsRegistry
 from repro.perf import (LRUCache, TokenizationCache, ensure_token_cache,
                         is_left_padded, plan_buckets, real_lengths,
@@ -63,7 +62,7 @@ def _record_pairs(splits, n):
 
 
 class TestFusedBitIdentity:
-    """Contract 1: same bits, whichever kernel path ran."""
+    """Contract 1: tape-on forward == tape-off forward, bitwise."""
 
     @pytest.mark.parametrize("fixture", ARCH_FIXTURES)
     def test_backbone_output_bit_identical(self, request, fixture,
@@ -75,45 +74,31 @@ class TestFusedBitIdentity:
         segs = encoded.segment_ids[:8]
         pads = encoded.pad_masks[:8]
 
-        with no_grad(), fused_kernels(False):
-            reference = pretrained.backbone(
-                ids, segment_ids=segs, pad_mask=pads).data.copy()
+        pretrained.backbone.eval()
+        taped = pretrained.backbone(ids, segment_ids=segs, pad_mask=pads)
+        assert taped.requires_grad
         with no_grad():
-            assert is_fused_enabled()
-            fused = pretrained.backbone(
-                ids, segment_ids=segs, pad_mask=pads).data
-        taped = pretrained.backbone(
-            ids, segment_ids=segs, pad_mask=pads).data
+            untaped = pretrained.backbone(
+                ids, segment_ids=segs, pad_mask=pads)
+        assert not untaped.requires_grad
 
-        assert fused.dtype == reference.dtype
-        assert np.array_equal(reference, fused)
-        assert np.array_equal(reference, taped)
+        assert untaped.data.dtype == taped.data.dtype
+        assert np.array_equal(taped.data, untaped.data)
 
 
 class TestFusedGating:
-    """Contract 2: fused implies no tape, structurally."""
-
-    def test_fused_only_active_without_gradients(self):
-        assert is_grad_enabled()
-        assert not is_fused_enabled()
-        with no_grad():
-            assert is_fused_enabled()
-            with fused_kernels(False):
-                assert not is_fused_enabled()
-            assert is_fused_enabled()
-        assert not is_fused_enabled()
+    """Contract 2: the kernels carry the tape; no_grad unwinds cleanly."""
 
     def test_gradients_flow_with_fused_globally_on(self, tiny_bert,
                                                    tiny_splits):
         encoded = encode_dataset(tiny_splits.test, tiny_bert.tokenizer,
                                  max_length=32)
-        with fused_kernels(True):
-            hidden = tiny_bert.backbone(
-                encoded.input_ids[:2],
-                segment_ids=encoded.segment_ids[:2],
-                pad_mask=encoded.pad_masks[:2])
-            assert hidden.requires_grad
-            hidden.sum().backward()
+        hidden = tiny_bert.backbone(
+            encoded.input_ids[:2],
+            segment_ids=encoded.segment_ids[:2],
+            pad_mask=encoded.pad_masks[:2])
+        assert hidden.requires_grad
+        hidden.sum().backward()
         grads = [p.grad for p in tiny_bert.backbone.parameters()]
         assert any(g is not None and np.abs(g).sum() > 0 for g in grads)
         tiny_bert.backbone.zero_grad()
@@ -125,14 +110,6 @@ class TestFusedGating:
                 raise ValueError("boom")
         assert is_grad_enabled()
 
-    def test_inference_mode_restored_after_exception(self):
-        with pytest.raises(RuntimeError):
-            with inference_mode():
-                assert not is_grad_enabled() and is_fused_enabled()
-                raise RuntimeError("boom")
-        assert is_grad_enabled()
-        assert not is_fused_enabled()
-
     def test_decorator_restores_after_exception(self):
         @no_grad()
         def boom():
@@ -140,16 +117,6 @@ class TestFusedGating:
 
         with pytest.raises(ValueError):
             boom()
-        assert is_grad_enabled()
-
-    def test_nested_mixed_contexts_unwind_in_order(self):
-        with no_grad():
-            with fused_kernels(False):
-                assert not is_fused_enabled()
-                with no_grad():
-                    assert not is_grad_enabled()
-                assert not is_grad_enabled()
-            assert is_fused_enabled()
         assert is_grad_enabled()
 
 
@@ -294,8 +261,7 @@ class TestMatchManyFast:
         saved = tokenizer.cache
         tokenizer.cache = None
         try:
-            with fused_kernels(False):
-                serial = fitted_bert.match_many(pairs, fast=False)
+            serial = fitted_bert.match_many(pairs, fast=False)
         finally:
             tokenizer.cache = saved
         fast = fitted_bert.match_many(pairs, fast=True, batch_size=7)

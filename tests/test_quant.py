@@ -221,12 +221,11 @@ class TestCalibratedInference:
             engine.score_pairs(_record_pairs(quant_splits, 4),
                                fallback=False, batch_size=4)
         assert counts.get("qlinear", 0) > 0
-        assert counts.get("qfeed_forward", 0) > 0
         assert counts.get("qattention_core", 0) > 0
-        # Every linear the forward runs must be calibrated: a partial
-        # overlay would silently mix float and int8 layers.
+        # Every linear the forward runs must be calibrated, the FFN
+        # expand/project pairs included: a partial overlay would
+        # silently mix float and int8 layers.
         assert counts.get("linear", 0) == 0
-        assert counts.get("feed_forward", 0) == 0
 
     def test_quantized_matching_requires_artifact(self, fitted_roberta):
         with pytest.raises(RuntimeError):
