@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from math import log
@@ -45,6 +46,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from ..obs.tracing import trace
 from .records import Record
 
 __all__ = ["CandidatePair", "Blocker", "TokenBlocker",
@@ -66,6 +68,8 @@ class CandidatePair:
 
 
 _WORD = re.compile(r"[a-z0-9]+")
+#: Signature value of a record without shingles (the identity of min).
+_EMPTY = np.iinfo(np.uint64).max
 
 
 def _blob(record, attributes: list[str] | None) -> str:
@@ -369,7 +373,7 @@ class MinHashLSHBlocker(Blocker):
     Every record is shingled (character ``shingle_size``-grams of its
     normalized text by default, or token n-grams with
     ``shingle_mode="token"``), each shingle is hashed with a stable
-     64-bit digest, and ``num_permutations`` seeded universal hashes
+    64-bit digest, and ``num_permutations`` seeded universal hashes
     produce the MinHash signature.  Signatures are cut into
     ``num_permutations / band_size`` bands of ``band_size`` rows; two
     records become a candidate when any band collides exactly.  The
@@ -437,27 +441,26 @@ class MinHashLSHBlocker(Blocker):
 
     # -- shingling -----------------------------------------------------------
 
-    def shingles(self, record) -> set[int]:
-        """Stable 64-bit shingle hashes of one record."""
+    def _grams(self, record) -> list[str]:
+        """Shingle strings of one record (empty for all-empty text)."""
         text = " ".join(_WORD.findall(_blob(record,
                                             self.attributes).lower()))
         if not text:
-            return set()
+            return []
         size = self.shingle_size
         if self.shingle_mode == "token":
             tokens = text.split()
             if len(tokens) < size:
-                grams = [" ".join(tokens)]
-            else:
-                grams = [" ".join(tokens[k: k + size])
-                         for k in range(len(tokens) - size + 1)]
-        else:
-            if len(text) < size:
-                grams = [text]
-            else:
-                grams = [text[k: k + size]
-                         for k in range(len(text) - size + 1)]
-        return {self._digest(gram) for gram in grams}
+                return [" ".join(tokens)]
+            return [" ".join(tokens[k: k + size])
+                    for k in range(len(tokens) - size + 1)]
+        if len(text) < size:
+            return [text]
+        return [text[k: k + size] for k in range(len(text) - size + 1)]
+
+    def shingles(self, record) -> set[int]:
+        """Stable 64-bit shingle hashes of one record."""
+        return {self._digest(gram) for gram in self._grams(record)}
 
     @staticmethod
     def _digest(gram: str) -> int:
@@ -470,27 +473,41 @@ class MinHashLSHBlocker(Blocker):
     def signatures(self, records: Iterable) -> np.ndarray:
         """MinHash signature matrix, shape (n_records, num_permutations).
 
-        Rows for empty-shingle records are all ``uint64`` max (the
-        identity of ``min``); :meth:`_iter_pairs` excludes them from
-        banding.
+        Each distinct shingle of the whole collection is hashed once;
+        records index into that vocabulary.  Rows for empty-shingle
+        records are all ``uint64`` max (the identity of ``min``);
+        :meth:`_iter_pairs` excludes them from banding.
         """
         records = list(records)
-        sets = [self.shingles(r) for r in records]
-        sentinel = np.iinfo(np.uint64).max
         signature = np.full((len(records), self.num_permutations),
-                            sentinel, dtype=np.uint64)
-        occupied = [i for i, s in enumerate(sets) if s]
-        if not occupied:
+                            _EMPTY, dtype=np.uint64)
+        with trace("blocking.shingle", records=len(records)):
+            vocab: dict[str, int] = {}
+            rows: list[int] = []
+            counts: list[int] = []
+            flat = array("q")
+            for i, record in enumerate(records):
+                grams = set(self._grams(record))
+                if not grams:
+                    continue
+                for gram in grams.difference(vocab):
+                    vocab[gram] = len(vocab)
+                rows.append(i)
+                counts.append(len(grams))
+                flat.extend(map(vocab.__getitem__, grams))
+            digests = np.fromiter(map(self._digest, vocab),
+                                  dtype=np.uint64, count=len(vocab))
+        if not rows:
             return signature
-        counts = np.asarray([len(sets[i]) for i in occupied])
-        flat = np.fromiter(
-            (h for i in occupied for h in sorted(sets[i])),
-            dtype=np.uint64, count=int(counts.sum()))
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        rows = np.asarray(occupied)
-        for p in range(self.num_permutations):
-            hashed = flat * self._mult[p] + self._add[p]
-            signature[rows, p] = np.minimum.reduceat(hashed, starts)
+        with trace("blocking.signature", records=len(rows)):
+            hashes = digests[np.frombuffer(flat, dtype=np.int64)]
+            starts = np.cumsum([0] + counts[:-1])
+            minima = np.empty((self.num_permutations, len(rows)),
+                              dtype=np.uint64)
+            for p in range(self.num_permutations):
+                hashed = hashes * self._mult[p] + self._add[p]
+                np.minimum.reduceat(hashed, starts, out=minima[p])
+            signature[rows] = minima.T
         return signature
 
     @staticmethod
@@ -519,48 +536,109 @@ class MinHashLSHBlocker(Blocker):
     # -- banding -------------------------------------------------------------
 
     def _iter_pairs(self, records_a, records_b) -> Iterator[CandidatePair]:
+        """Candidates band by band, in a fixed order.
+
+        Within a band, self-join emits buckets by first appearance and,
+        per bucket, every ``(members[a], members[b])`` with ``a < b``
+        over the ascending members; linkage emits, per A row ascending,
+        the B members of its bucket ascending.  A pair already emitted
+        by an earlier band is skipped.  Each band's pairs are computed
+        (inside its ``blocking.band`` span) before any is yielded.
+        """
         self_join = records_b is None
         sig_a = self.signatures(records_a)
-        occupied_a = ~np.all(
-            sig_a == np.iinfo(np.uint64).max, axis=1)
-        if self_join:
-            sig_b, occupied_b = sig_a, occupied_a
-        else:
-            sig_b = self.signatures(records_b)
-            occupied_b = ~np.all(
-                sig_b == np.iinfo(np.uint64).max, axis=1)
+        sig_b = sig_a if self_join else self.signatures(records_b)
+        rows_a = np.flatnonzero(~np.all(sig_a == _EMPTY, axis=1))
+        rows_b = (rows_a if self_join
+                  else np.flatnonzero(~np.all(sig_b == _EMPTY, axis=1)))
         width_b = len(sig_b)
-        seen: set[int] = set()
+        seen = np.empty(0, dtype=np.int64)
         for band in range(self.num_bands):
             lo = band * self.band_size
-            slice_b = sig_b[:, lo: lo + self.band_size]
-            buckets: dict[bytes, list[int]] = defaultdict(list)
-            for j in range(len(slice_b)):
-                if occupied_b[j]:
-                    buckets[slice_b[j].tobytes()].append(j)
-            if self_join:
-                for members in buckets.values():
-                    if not 2 <= len(members) <= self.max_bucket_size:
-                        continue
-                    for a, i in enumerate(members):
-                        for j in members[a + 1:]:
-                            key = i * width_b + j
-                            if key not in seen:
-                                seen.add(key)
-                                yield CandidatePair(i, j)
-                continue
-            slice_a = sig_a[:, lo: lo + self.band_size]
-            for i in range(len(slice_a)):
-                if not occupied_a[i]:
-                    continue
-                members = buckets.get(slice_a[i].tobytes())
-                if members is None or len(members) > self.max_bucket_size:
-                    continue
-                for j in members:
-                    key = i * width_b + j
-                    if key not in seen:
-                        seen.add(key)
-                        yield CandidatePair(i, j)
+            columns = slice(lo, lo + self.band_size)
+            with trace("blocking.band", band=band):
+                if self_join:
+                    left, right = self._self_band(sig_a[rows_a, columns],
+                                                  rows_a)
+                else:
+                    left, right = self._link_band(sig_a[rows_a, columns],
+                                                  rows_a,
+                                                  sig_b[rows_b, columns],
+                                                  rows_b)
+                keys = left * width_b + right
+                fresh = ~_contains(seen, keys)
+                left, right = left[fresh], right[fresh]
+                seen = _merge(seen, keys[fresh])
+            yield from map(CandidatePair, left.tolist(), right.tolist())
+
+    def _self_band(self, band: np.ndarray, rows: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs within each band bucket of 2..max_bucket_size rows."""
+        buckets, sizes = _bucket_ids(band)
+        members = rows[np.argsort(buckets, kind="stable")]
+        ends = np.repeat(np.cumsum(sizes), sizes)
+        kept = np.repeat((sizes >= 2) & (sizes <= self.max_bucket_size),
+                         sizes)
+        positions = np.arange(len(members))
+        partners = np.where(kept, ends - positions - 1, 0)
+        owner, partner = _runs(positions + 1, partners)
+        return members[owner], members[partner]
+
+    def _link_band(self, band_a: np.ndarray, rows_a: np.ndarray,
+                   band_b: np.ndarray, rows_b: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """A rows against the B members of their bucket, the bucket
+        size counted on B's side alone."""
+        buckets, sizes = _bucket_ids(np.concatenate([band_b, band_a]))
+        buckets_b, buckets_a = buckets[:len(rows_b)], buckets[len(rows_b):]
+        sizes_b = np.bincount(buckets_b, minlength=len(sizes))
+        members_b = rows_b[np.argsort(buckets_b, kind="stable")]
+        starts_b = np.cumsum(sizes_b) - sizes_b
+        partners = sizes_b[buckets_a]
+        partners[partners > self.max_bucket_size] = 0
+        owner, partner = _runs(starts_b[buckets_a], partners)
+        return rows_a[owner], members_b[partner]
+
+
+def _bucket_ids(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket of every row of one band and each bucket's size.
+
+    Rows with equal band values share a bucket; buckets are numbered by
+    the first row that lands in them.
+    """
+    width = band.dtype.itemsize * band.shape[1]
+    keys = np.ascontiguousarray(band).view(np.dtype((np.void, width)))
+    _, first, inverse, sizes = np.unique(
+        keys.ravel(), return_index=True, return_inverse=True,
+        return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.ravel()], sizes[order]
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ranges ``starts[k] .. starts[k] + lengths[k] - 1``,
+    each element paired with the ``k`` it came from."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    offsets = np.arange(len(owner)) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths)
+    return owner, starts[owner] + offsets
+
+
+def _contains(seen: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Membership of ``keys`` in the sorted array ``seen``."""
+    at = np.searchsorted(seen, keys)
+    found = at < len(seen)
+    found[found] = seen[at[found]] == keys[found]
+    return found
+
+
+def _merge(seen: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Sorted union of ``seen`` and the (new, distinct) ``keys``."""
+    keys = np.sort(keys)
+    return np.insert(seen, np.searchsorted(seen, keys), keys)
 
 
 @dataclass

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from ..data.blocking import (MinHashLSHBlocker, SortedNeighborhoodBlocker,
                              TfIdfBlocker, TokenBlocker)
+from ..obs.tracing import aggregate_spans, default_tracer
 from ..utils import atomic_write_text
 from .catalog import generate_catalog
 from .pipeline import DedupeConfig, dedupe_records
@@ -36,6 +37,8 @@ __all__ = ["BlockingGates", "BlockingBenchConfig",
 SCHEMA_VERSION = 1
 _REPORT_KEYS = ("benchmark", "schema", "smoke", "config", "comparison",
                 "gate", "dedupe", "acceptance")
+#: MinHash-LSH stages timed by their ``blocking.*`` trace spans.
+_GATE_STAGES = ("shingle", "signature", "band")
 
 
 @dataclass(frozen=True)
@@ -136,10 +139,19 @@ def run_blocking_benchmark(config: BlockingBenchConfig | None = None,
 
     log(f"blocking bench: MinHash-LSH gate at {num_records} records")
     large = generate_catalog(num_records, seed=config.seed)
+    mark = default_tracer().mark()
     gate = _measure(_gate_blocker(config.seed), large,
                     config.candidate_batch)
+    spans = aggregate_spans(default_tracer().since(mark))
+    gate["stage_seconds"] = {
+        stage: round(spans.get(f"blocking.{stage}", {}).get("total", 0.0),
+                     3)
+        for stage in _GATE_STAGES}
+    stages = ", ".join(f"{stage} {seconds}s" for stage, seconds
+                       in gate["stage_seconds"].items())
     log(f"  gate: PC {gate['pairs_completeness']:.4f} "
-        f"RR {gate['reduction_ratio']:.6f} in {gate['seconds']}s")
+        f"RR {gate['reduction_ratio']:.6f} in {gate['seconds']}s "
+        f"({stages})")
 
     log("blocking bench: end-to-end dedupe over the gate catalog")
     start = time.perf_counter()

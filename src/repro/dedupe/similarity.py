@@ -23,9 +23,7 @@ def _text(entity, attributes: list[str] | None) -> str:
     return record.text_blob(attributes)
 
 
-def _jaccard(text_a: str, text_b: str) -> float:
-    tokens_a = set(text_a.lower().split())
-    tokens_b = set(text_b.lower().split())
+def _jaccard(tokens_a: set[str], tokens_b: set[str]) -> float:
     if not tokens_a and not tokens_b:
         return 0.0
     union = len(tokens_a | tokens_b)
@@ -53,12 +51,22 @@ class SimilarityEngine:
         self.attributes = attributes
         self.scorer = scorer
 
-    def _probability(self, entity_a, entity_b) -> float:
-        text_a = _text(entity_a, self.attributes)
-        text_b = _text(entity_b, self.attributes)
+    def _features(self, entity):
+        """What the scorer compares: the lower-cased token set for
+        ``"jaccard"``, the serialized text for ``"blend"``."""
+        text = _text(entity, self.attributes)
         if self.scorer == "jaccard":
-            return _jaccard(text_a, text_b)
-        return fallback_probability(text_a, text_b)
+            return set(text.lower().split())
+        return text
+
+    def _score(self, features_a, features_b) -> float:
+        if self.scorer == "jaccard":
+            return _jaccard(features_a, features_b)
+        return fallback_probability(features_a, features_b)
+
+    def _probability(self, entity_a, entity_b) -> float:
+        return self._score(self._features(entity_a),
+                           self._features(entity_b))
 
     def score_pairs(self, pairs, threshold: float = 0.5,
                     fallback: bool = True, cb=None, batch_size: int = 64,
@@ -70,6 +78,9 @@ class SimilarityEngine:
         ``keys`` become outcome indices, a failing pair degrades to a
         zero-probability outcome instead of aborting the batch, and
         ``stages`` receives one clock-timed ``similarity`` record.
+        Each entity's features are computed once per call (memoized by
+        object identity); an entity whose extraction fails is not
+        memoized, so each of its pairs degrades on its own.
         ``fallback`` / ``cb`` / ``forward_hook`` are accepted for
         protocol compatibility (there is no model path to fall back
         from or hook into).
@@ -79,6 +90,14 @@ class SimilarityEngine:
         keys = list(keys) if keys is not None else list(range(len(pairs)))
         if len(keys) != len(pairs):
             raise ValueError(f"{len(pairs)} pairs but {len(keys)} keys")
+        memo: dict[int, object] = {}
+
+        def features(entity):
+            key = id(entity)
+            if key not in memo:
+                memo[key] = self._features(entity)
+            return memo[key]
+
         outcomes: list[MatchOutcome] = []
         with ExitStack() as scope:
             if stages is not None:
@@ -86,7 +105,8 @@ class SimilarityEngine:
                                                  pairs=len(pairs)))
             for key, (entity_a, entity_b) in zip(keys, pairs):
                 try:
-                    probability = self._probability(entity_a, entity_b)
+                    probability = self._score(features(entity_a),
+                                              features(entity_b))
                     outcomes.append(MatchOutcome(
                         index=key, probability=probability,
                         matched=probability >= threshold))

@@ -8,6 +8,10 @@ collision curve, the LSH superset guarantee at Jaccard 1, and
 range-safety of ``evaluate_blocking`` on arbitrary inputs.
 """
 
+import hashlib
+import re
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +19,12 @@ from hypothesis import strategies as st
 
 from repro.data import Record
 from repro.data.blocking import (BlockingQuality, CandidatePair,
-                                 MinHashLSHBlocker,
+                                 MinHashLSHBlocker, _blob,
                                  SortedNeighborhoodBlocker, TfIdfBlocker,
                                  TokenBlocker, evaluate_blocking)
 from repro.data.generators import universe
 from repro.data.generators._base import NoiseProfile
+from repro.dedupe import generate_catalog
 
 pytestmark = pytest.mark.blocking
 
@@ -348,6 +353,171 @@ class TestMinHashLSH:
             blocker.collision_probability(1.5)
         with pytest.raises(ValueError):
             blocker.jaccard_at(0.0)
+
+
+_MAX = np.iinfo(np.uint64).max
+
+
+def _reference_signatures(blocker, records):
+    """The original MinHash: blake2b per gram, a Python set of digests
+    per record, one reduceat per permutation over sorted digests."""
+    sets = []
+    for record in records:
+        text = " ".join(re.findall(
+            r"[a-z0-9]+", _blob(record, blocker.attributes).lower()))
+        units = text.split() if blocker.shingle_mode == "token" else text
+        glue = " " if blocker.shingle_mode == "token" else ""
+        size = blocker.shingle_size
+        grams = ([glue.join(units[k: k + size])
+                  for k in range(len(units) - size + 1)]
+                 if len(units) >= size else [glue.join(units)])
+        sets.append({int.from_bytes(hashlib.blake2b(
+            g.encode("utf-8"), digest_size=8).digest(), "little")
+            for g in grams} if text else set())
+    sig = np.full((len(records), blocker.num_permutations), _MAX,
+                  dtype=np.uint64)
+    occupied = [i for i, s in enumerate(sets) if s]
+    if occupied:
+        flat = np.array([h for i in occupied for h in sorted(sets[i])],
+                        dtype=np.uint64)
+        starts = np.cumsum([0] + [len(sets[i]) for i in occupied][:-1])
+        for p in range(blocker.num_permutations):
+            hashed = flat * blocker._mult[p] + blocker._add[p]
+            sig[occupied, p] = np.minimum.reduceat(hashed, starts)
+    return sig
+
+
+def _reference_candidates(blocker, records_a, records_b=None):
+    """The original banding: a dict of ``tobytes`` keys per band."""
+    sig_a = _reference_signatures(blocker, records_a)
+    sig_b = (sig_a if records_b is None
+             else _reference_signatures(blocker, records_b))
+    seen, out = set(), []
+    for lo in range(0, blocker.num_permutations, blocker.band_size):
+        buckets = defaultdict(list)
+        for j, row in enumerate(sig_b):
+            if not np.all(row == _MAX):
+                buckets[row[lo: lo + blocker.band_size].tobytes()].append(j)
+        emitted = []
+        if records_b is None:
+            for members in buckets.values():
+                if 2 <= len(members) <= blocker.max_bucket_size:
+                    emitted += [(i, j) for a, i in enumerate(members)
+                                for j in members[a + 1:]]
+        else:
+            for i, row in enumerate(sig_a):
+                members = buckets.get(row[lo: lo + blocker.band_size]
+                                      .tobytes(), [])
+                if (not np.all(row == _MAX)
+                        and len(members) <= blocker.max_bucket_size):
+                    emitted += [(i, j) for j in members]
+        for pair in emitted:
+            if pair not in seen:
+                seen.add(pair)
+                out.append(pair)
+    return out
+
+
+def _short_texts():
+    return [Record({"title": t})
+            for t in ("ab", "a", "ab", "zq", "", "ab zq", "a", "abc")]
+
+
+_IDENTITY_CASES = {
+    "char": (MinHashLSHBlocker(seed=1),
+             lambda: generate_catalog(300, seed=3).records),
+    "token": (MinHashLSHBlocker(shingle_mode="token", shingle_size=2,
+                                num_permutations=64, seed=2),
+              lambda: generate_catalog(300, seed=4).records),
+    "short_char": (MinHashLSHBlocker(shingle_size=3, seed=0),
+                   _short_texts),
+    "short_token": (MinHashLSHBlocker(shingle_mode="token",
+                                      shingle_size=3, seed=0),
+                    _short_texts),
+    "all_empty": (MinHashLSHBlocker(),
+                  lambda: [Record({"title": ""}) for _ in range(4)]),
+    "mega_bucket": (MinHashLSHBlocker(max_bucket_size=10, seed=0),
+                    lambda: ([Record({"title": "identical listing"})] * 40
+                             + [Record({"title": "twin listing"})] * 5
+                             + _catalog_records(30))),
+    "one_band": (MinHashLSHBlocker(num_permutations=16, band_size=16,
+                                   seed=6),
+                 lambda: generate_catalog(200, seed=5).records),
+    "plain_mappings": (MinHashLSHBlocker(num_permutations=32,
+                                         band_size=2, seed=7),
+                       lambda: [dict(r.values) for r in
+                                generate_catalog(120, seed=8).records]),
+}
+
+
+class TestMinHashBitIdentity:
+    """The vectorized blocker against the original per-gram algorithm:
+    same signature bits, same candidate list in the same order."""
+
+    @pytest.mark.parametrize("case", sorted(_IDENTITY_CASES))
+    def test_signatures_bitwise_equal(self, case):
+        blocker, records = _IDENTITY_CASES[case]
+        records = records()
+        ours = blocker.signatures(records)
+        assert ours.dtype == np.uint64
+        assert np.array_equal(ours, _reference_signatures(blocker, records))
+
+    @pytest.mark.parametrize("case", sorted(_IDENTITY_CASES))
+    def test_self_join_candidates_in_order(self, case):
+        blocker, records = _IDENTITY_CASES[case]
+        records = records()
+        ours = [(p.index_a, p.index_b) for p in blocker.candidates(records)]
+        assert ours == _reference_candidates(blocker, records)
+
+    @pytest.mark.parametrize("case", sorted(_IDENTITY_CASES))
+    def test_linkage_candidates_in_order(self, case):
+        blocker, records = _IDENTITY_CASES[case]
+        records = records()
+        half = len(records) // 2
+        a, b = records[:half], records[half:]
+        ours = [(p.index_a, p.index_b) for p in blocker.candidates(a, b)]
+        assert ours == _reference_candidates(blocker, a, b)
+
+    def test_cases_exercise_collisions(self):
+        # Identity on an empty candidate list would prove nothing.
+        blocker, records = _IDENTITY_CASES["char"]
+        assert len(blocker.candidates(records())) > 100
+        blocker, records = _IDENTITY_CASES["mega_bucket"]
+        pairs = _pair_set(blocker.candidates(records()))
+        assert (40, 41) in pairs and (0, 1) not in pairs
+
+    def test_linkage_bucket_size_counted_on_b_side(self):
+        blocker = MinHashLSHBlocker(max_bucket_size=10, seed=0)
+        same = Record({"title": "identical listing"})
+        twin = Record({"title": "twin listing"})
+        a = [same] * 3 + [twin] * 2 + _catalog_records(10, seed=1)
+        b = [twin] * 4 + [same] * 12 + _catalog_records(10, seed=2)
+        ours = [(p.index_a, p.index_b) for p in blocker.candidates(a, b)]
+        assert ours == _reference_candidates(blocker, a, b)
+        assert (3, 0) in ours and (0, 4) not in ours
+
+    def test_shingles_match_signature_vocabulary(self):
+        blocker, records = _IDENTITY_CASES["short_char"]
+        for record in records():
+            sig = blocker.signatures([record])[0]
+            digests = np.fromiter(blocker.shingles(record),
+                                  dtype=np.uint64)
+            if not len(digests):
+                assert np.all(sig == _MAX)
+                continue
+            expected = (digests[:, None] * blocker._mult
+                        + blocker._add).min(axis=0)
+            assert np.array_equal(sig, expected)
+
+    def test_pinned_candidate_digest(self):
+        # sha256 of "i,j\n" lines of the candidate list, taken from the
+        # per-gram / dict-banding implementation.
+        pairs = MinHashLSHBlocker().candidates(
+            generate_catalog(2000, seed=0).records)
+        text = "".join(f"{p.index_a},{p.index_b}\n" for p in pairs)
+        assert len(pairs) == 4258
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0338a260f0fe6490a23b4bc2ecf414bcb6a6ab5b7bc606f70e20fdf065b02a27")
 
 
 _titles = st.lists(

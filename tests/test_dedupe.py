@@ -224,6 +224,47 @@ class TestSimilarityEngine:
         with pytest.raises(ValueError):
             SimilarityEngine(scorer="cosine")
 
+    @pytest.mark.parametrize("scorer", ["jaccard", "blend"])
+    def test_memoized_outcomes_equal_per_pair_probability(self, scorer):
+        # Pairs repeat the same record objects (the memo's hit path) and
+        # mix in plain mappings; every outcome must equal the unmemoized
+        # per-pair probability bit for bit.
+        records = generate_catalog(40, seed=9).records
+        mapping = {"title": "apexon phone zx100", "brand": "apexon"}
+        pairs = ([(records[i], records[(7 * i) % 40]) for i in range(40)]
+                 + [(records[i], records[i + 1]) for i in range(39)]
+                 + [(mapping, records[3]), (records[3], mapping),
+                    (mapping, mapping)])
+        engine = SimilarityEngine(scorer=scorer)
+        outcomes = engine.score_pairs(pairs, threshold=0.4)
+        assert len(outcomes) == len(pairs)
+        for outcome, (a, b) in zip(outcomes, pairs):
+            expected = engine._probability(a, b)
+            assert outcome.probability == expected
+            assert outcome.matched == (expected >= 0.4)
+            assert not outcome.degraded
+
+    @pytest.mark.parametrize("scorer", ["jaccard", "blend"])
+    def test_failing_entity_degrades_only_its_pairs(self, scorer):
+        good = {"title": "apexon phone zx100"}
+        other = {"title": "apexon phone zx200"}
+        engine = SimilarityEngine(scorer=scorer)
+        try:
+            engine._probability(None, good)
+        except Exception as error:
+            expected_error = f"{type(error).__name__}: {error}"
+        pairs = [(good, other), (None, good), (other, good),
+                 (good, None), (None, None), (good, good)]
+        outcomes = engine.score_pairs(pairs)
+        assert [o.degraded for o in outcomes] == [False, True, False,
+                                                  True, True, False]
+        for outcome, (a, b) in zip(outcomes, pairs):
+            if outcome.degraded:
+                assert outcome.error == expected_error
+                assert outcome.probability == 0.0
+            else:
+                assert outcome.probability == engine._probability(a, b)
+
 
 class TestDedupePipeline:
     def _run(self, threshold=0.5, **kwargs):
@@ -290,6 +331,37 @@ class TestDedupePipeline:
                     assert (result.entity_ids[candidate.index_a]
                             == result.entity_ids[candidate.index_b])
 
+    def test_blocker_stages_nest_under_block_score(self):
+        # The scorer opens its own span per batch: a blocker span left
+        # open across a yield would adopt it as a child.
+        from repro.obs.tracing import default_tracer, trace
+
+        class TracedEngine(SimilarityEngine):
+            def score_pairs(self, pairs, **kwargs):
+                with trace("score"):
+                    return super().score_pairs(pairs, **kwargs)
+
+        tracer = default_tracer()
+        mark = tracer.mark()
+        dedupe_records(generate_catalog(100, seed=6).records,
+                       MinHashLSHBlocker(num_permutations=32),
+                       TracedEngine(scorer="jaccard"),
+                       DedupeConfig(candidate_batch=16),
+                       registry=MetricsRegistry())
+        (root,) = tracer.since(mark)
+        (block_score,) = [c for c in root.children
+                          if c.name == "dedupe.block_score"]
+        stages = [c for c in block_score.children if c.name != "score"]
+        assert [c.name for c in stages] == (
+            ["blocking.shingle", "blocking.signature"]
+            + ["blocking.band"] * 8)
+        assert [c.attrs["band"] for c in stages[2:]] == list(range(8))
+        assert sum(c.name == "score" for c in block_score.children) > 1
+        for child in block_score.children:
+            assert child.end is not None
+            if child.name != "score":
+                assert not child.children
+
     def test_works_with_token_blocker(self):
         catalog = generate_catalog(100, seed=6)
         result = dedupe_records(catalog.records,
@@ -354,6 +426,10 @@ class TestBenchSmoke:
         # smoke scale already clears the gate floors
         assert report["acceptance"]["passed"] is True
         assert report["dedupe"]["streamed"] is True
+        stages = report["gate"]["stage_seconds"]
+        assert set(stages) == {"shingle", "signature", "band"}
+        assert all(seconds > 0.0 for seconds in stages.values())
+        assert sum(stages.values()) <= report["gate"]["seconds"] + 0.01
 
     def test_write_report_rejects_invalid(self, tmp_path):
         from repro.dedupe.bench import write_report
