@@ -24,7 +24,7 @@ import time
 from repro.data import load_benchmark, split_dataset
 from repro.matching import (EntityMatcher, FineTuneConfig, build_cascade,
                             evaluate_predictions)
-from repro.obs import MetricsRegistry
+from repro.obs import LoggingCallback, MetricsRegistry
 from repro.pretraining import ZooSettings
 from repro.serve import CascadeBackend, MatchService, ServeConfig
 from repro.utils import child_rng
@@ -42,7 +42,8 @@ def fitted(arch: str, splits) -> EntityMatcher:
         finetune_config=FineTuneConfig(epochs=3, batch_size=8,
                                        max_length_cap=32))
     matcher.fit(splits.train, splits.validation,
-                log=lambda message: print(f"  {message}"))
+                callbacks=LoggingCallback(
+                    lambda message: print(f"  {message}")))
     return matcher
 
 

@@ -13,6 +13,7 @@ from repro.data import load_benchmark, split_dataset
 from repro.evaluation import CellResult, analyze_convergence
 from repro.matching import FineTuneConfig, fine_tune
 from repro.models import build_backbone
+from repro.obs import LoggingCallback
 from repro.pretraining import PretrainedModel, get_pretrained
 from repro.utils import child_rng, format_series
 
@@ -25,7 +26,8 @@ def main() -> None:
     print("Fine-tuning the pre-trained BERT checkpoint ...")
     pretrained = get_pretrained("bert", seed=0)
     tuned = fine_tune(pretrained, splits.train, splits.test, config,
-                      seed=1, log=lambda m: print(f"  {m}"))
+                      seed=1,
+                      callbacks=LoggingCallback(lambda m: print(f"  {m}")))
 
     print("\nFine-tuning the same architecture from random init ...")
     scratch_backbone = build_backbone(pretrained.config,

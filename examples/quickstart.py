@@ -15,6 +15,7 @@ CPU); subsequent runs load it instantly.
 
 from repro.data import load_benchmark, split_dataset
 from repro.matching import EntityMatcher, FineTuneConfig
+from repro.obs import LoggingCallback
 from repro.utils import child_rng
 
 
@@ -30,7 +31,8 @@ def main() -> None:
     matcher = EntityMatcher(
         "roberta", finetune_config=FineTuneConfig(epochs=4))
     matcher.fit(splits.train, splits.test,
-                log=lambda message: print(f"  {message}"))
+                callbacks=LoggingCallback(
+                    lambda message: print(f"  {message}")))
 
     metrics = matcher.evaluate(splits.test).as_percent()
     print(f"\nTest F1 {metrics.f1:.1f}  "

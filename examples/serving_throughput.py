@@ -18,7 +18,7 @@ streams a Poisson workload through it:
 
 from repro.data import load_benchmark, split_dataset
 from repro.matching import EntityMatcher, FineTuneConfig
-from repro.obs import MetricsRegistry
+from repro.obs import LoggingCallback, MetricsRegistry
 from repro.pretraining import ZooSettings
 from repro.serve import (MatcherBackend, MatchService, ServeConfig,
                          generate_workload, run_simulation)
@@ -40,7 +40,8 @@ def main() -> None:
         finetune_config=FineTuneConfig(epochs=1, batch_size=8,
                                        max_length_cap=32))
     matcher.fit(splits.train, splits.test,
-                log=lambda message: print(f"  {message}"))
+                callbacks=LoggingCallback(
+                    lambda message: print(f"  {message}")))
 
     pairs = [(pair.record_a, pair.record_b) for pair in splits.test]
     print(f"\nMatching {len(pairs)} pairs serially ...")

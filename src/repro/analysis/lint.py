@@ -802,14 +802,14 @@ class _SpanWithoutContextManager(LintRule):
     end it.  The cross-thread lifecycle API
     (``begin_request``/``child``/``end``/``finish``) is deliberately
     exempt — a request span *cannot* be lexically scoped because it
-    crosses threads (see ``repro.obs.context``)."""
+    crosses threads (see ``repro.obs.tracing``)."""
 
     id = "RA112"
     name = "span-without-context-manager"
     hint = ("open the span with `with tracer.span(...):` / "
             "`with stages.stage(...):` (or scope.enter_context(...)); "
-            "use the begin_request/finish lifecycle API for spans that "
-            "cross threads")
+            "use the repro.obs.tracing begin_request/finish lifecycle "
+            "API for spans that cross threads")
 
     _PACKAGES = ("repro.serve", "repro.matching")
 

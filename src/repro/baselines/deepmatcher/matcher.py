@@ -125,12 +125,12 @@ class DeepMatcher:
                             "examples_per_sec":
                                 len(idx) / max(elapsed, 1e-9)})
                     global_step += 1
-            seconds.append(span.wall)
+            seconds.append(span.duration)
             if cb:
                 cb.on_epoch_end({
                     "phase": "deepmatcher", "variant": variant,
                     "epoch": epoch, "train_loss": float(np.mean(losses)),
-                    "seconds": span.wall})
+                    "seconds": span.duration})
         self.epoch_seconds[variant] = float(np.mean(seconds))
         return model
 

@@ -286,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batch-size", type=int, default=None,
                        help="inference batch size (default: 64 for the "
                             "perf suite, 32 otherwise)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=None,
+                       help="workload seed (default: 7 for the blocking "
+                            "suite, 0 otherwise)")
         p.add_argument("--arch", default="bert",
                        choices=["bert", "roberta", "distilbert", "xlnet"],
                        help="architecture for the serve suite "
@@ -355,8 +357,9 @@ def _run_match(arch: str, dataset: str, scale: float, epochs: int,
         zoo_settings=_smoke_zoo_settings() if smoke else None,
         zoo_dir=zoo_dir)
 
+    from .obs import LoggingCallback
     run = None
-    callbacks = None
+    callbacks = [LoggingCallback(print)]
     if telemetry:
         from .obs import JsonlSink, TelemetryCallback, TelemetryRun
         run = TelemetryRun(JsonlSink(telemetry),
@@ -364,7 +367,7 @@ def _run_match(arch: str, dataset: str, scale: float, epochs: int,
         run.emit("run_begin", command="match", arch=arch,
                  dataset=dataset, scale=scale,
                  epochs=epochs, seed=seed, smoke=smoke)
-        callbacks = [TelemetryCallback(run)]
+        callbacks.append(TelemetryCallback(run))
 
     resilience = None
     if checkpoint_dir:
@@ -377,8 +380,8 @@ def _run_match(arch: str, dataset: str, scale: float, epochs: int,
                          "dataset": dataset, "scale": scale,
                          "epochs": epochs, "seed": seed, "smoke": smoke})
 
-    matcher.fit(splits.train, splits.test, log=print,
-                callbacks=callbacks, resilience=resilience)
+    matcher.fit(splits.train, splits.test, callbacks=callbacks,
+                resilience=resilience)
     metrics = matcher.evaluate(splits.test).as_percent()
     print(f"\n{arch} on {data.name}: F1 {metrics.f1:.1f} "
           f"(P {metrics.precision:.1f} / R {metrics.recall:.1f})")
@@ -402,6 +405,7 @@ def _run_cascade(args) -> int:
     """``match --cascade``: DistilBERT screens, ARCH confirms."""
     from .matching import EntityMatcher, FineTuneConfig, build_cascade, \
         evaluate_predictions
+    from .obs import LoggingCallback
     if args.arch == "distilbert":
         print("error: --cascade escalates from a DistilBERT primary; "
               "pick a stronger secondary (roberta, bert or xlnet)",
@@ -416,7 +420,8 @@ def _run_cascade(args) -> int:
         matcher = EntityMatcher(
             arch, finetune_config=FineTuneConfig(epochs=args.epochs),
             zoo_settings=settings, zoo_dir=args.zoo_dir)
-        matcher.fit(splits.train, splits.validation, log=print)
+        matcher.fit(splits.train, splits.validation,
+                    callbacks=LoggingCallback(print))
         return matcher
 
     primary = fitted("distilbert")
@@ -437,13 +442,15 @@ def _run_cascade(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     from .matching import EntityMatcher, FineTuneConfig
+    from .obs import LoggingCallback
     data = load_benchmark(args.dataset, seed=args.seed, scale=args.scale)
     splits = split_dataset(data, child_rng(args.seed, "split"))
     matcher = EntityMatcher(
         args.arch, finetune_config=FineTuneConfig(epochs=args.epochs),
         zoo_settings=_smoke_zoo_settings() if args.smoke else None,
         zoo_dir=args.zoo_dir)
-    matcher.fit(splits.train, splits.validation, log=print)
+    matcher.fit(splits.train, splits.validation,
+                callbacks=LoggingCallback(print))
 
     pairs = [(p.record_a, p.record_b) for p in splits.train.pairs]
     count = max(1, min(args.pairs, len(pairs) // 2 or 1))
@@ -769,6 +776,9 @@ def _cmd_bench_blocking(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.seed is None:
+        # BlockingBenchConfig and BENCH_blocking.json use seed 7.
+        args.seed = 7 if args.suite == "blocking" else 0
     if args.suite == "blocking":
         return _cmd_bench_blocking(args)
     if args.batch_size is None:

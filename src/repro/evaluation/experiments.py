@@ -23,6 +23,7 @@ import numpy as np
 from ..baselines import DeepMatcher, DeepMatcherConfig, MagellanMatcher
 from ..data import load_benchmark, split_dataset
 from ..matching import FineTuneConfig, fine_tune
+from ..obs import LoggingCallback
 from ..pretraining import ZooSettings, get_pretrained
 from ..utils import child_rng, spawn_seeds
 
@@ -170,7 +171,9 @@ def run_transformer_cell(arch: str, dataset: str,
     result = CellResult(arch=arch, dataset=dataset)
     for run_seed in spawn_seeds(scale.run_seed, scale.runs):
         run = fine_tune(pretrained, splits.train, splits.test,
-                        config=config, seed=run_seed, log=log)
+                        config=config, seed=run_seed,
+                        callbacks=(LoggingCallback(log) if log is not None
+                                   else None))
         result.f1_curves.append([f * 100.0 for f in run.f1_curve()])
         result.epoch_seconds.extend(run.epoch_seconds())
     if cache_path is not None:

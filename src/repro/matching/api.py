@@ -81,23 +81,22 @@ class EntityMatcher:
         return self._result is not None
 
     def fit(self, train: EMDataset, test: EMDataset | None = None,
-            log=None, callbacks=None,
+            callbacks=None,
             resilience: ResilienceConfig | None = None) -> FineTuneResult:
         """Fine-tune on ``train``; track per-epoch F1 on ``test`` if given
         (otherwise on a slice of the training data).
 
-        ``callbacks`` takes :class:`repro.obs.Callback` instances; ``log``
-        is the legacy print hook (still supported).  ``resilience`` opts
-        into checkpoint/resume and divergence rollback (see
-        :class:`repro.resilience.ResilienceConfig`).
+        ``callbacks`` takes :class:`repro.obs.Callback` instances
+        (:class:`repro.obs.LoggingCallback` prints progress lines).
+        ``resilience`` opts into checkpoint/resume and divergence
+        rollback (see :class:`repro.resilience.ResilienceConfig`).
         """
         eval_set = test if test is not None else train[: max(len(train) // 5, 1)]
         self._schema = list(train.schema)
         self._text_attributes = train.text_attributes
         self._result = fine_tune(self.pretrained, train, eval_set,
                                  config=self.finetune_config,
-                                 seed=self.seed, log=log,
-                                 callbacks=callbacks,
+                                 seed=self.seed, callbacks=callbacks,
                                  resilience=resilience)
         return self._result
 
@@ -221,7 +220,7 @@ class EntityMatcher:
         if quantized and not fast:
             raise ValueError("quantized matching requires the fast "
                              "engine (fast=False was forced)")
-        cb = CallbackList.resolve(callbacks, None)
+        cb = CallbackList.resolve(callbacks)
         pairs = list(pairs)
         if not fast:
             return self._match_many_serial(pairs, threshold, fallback, cb)

@@ -117,8 +117,8 @@ class MatchEngine:
         ``keys`` (default ``range(len(pairs))``) become the outcomes'
         ``index`` values; ``forward_hook(batch_keys)`` runs inside the
         isolation boundary before every model forward.  ``stages`` (a
-        :class:`repro.obs.context.BatchStages`) receives clock-timed
-        ``tokenize`` / ``forward`` records — the forward record also
+        :class:`repro.obs.tracing.BatchStages`) receives clock-timed
+        ``tokenize`` / ``forward`` stage spans — the forward record also
         carries the kernel invocation mix.
         """
         pairs = list(pairs)

@@ -8,9 +8,8 @@ per-epoch evaluation on the test split — including the *zero-shot*
 Instrumentation: the loop reports through the :mod:`repro.obs` callback
 protocol — ``train_begin``, per-step ``step`` (loss / lr / grad-norm /
 examples-per-sec), per-epoch ``eval`` + ``epoch_end``, and ``train_end``
-— and wraps epochs/evals in tracing spans.  The legacy ``log=`` print
-hook still works (it is shimmed onto a ``LoggingCallback``); with no
-callbacks and no log, the loop skips all payload construction.
+— and wraps epochs/evals in tracing spans.  With no callbacks, the
+loop skips all payload construction.
 
 Resilience: pass ``resilience=ResilienceConfig(...)`` to snapshot the
 *complete* training state — model, optimizer, LR schedule, RNG stream,
@@ -180,18 +179,18 @@ def _check_resume_compatible(meta: dict, expected: dict, path) -> None:
 
 def fine_tune(pretrained: PretrainedModel, train: EMDataset,
               test: EMDataset, config: FineTuneConfig | None = None,
-              seed: int = 0, log=None, callbacks=None,
+              seed: int = 0, callbacks=None,
               resilience: ResilienceConfig | None = None) -> FineTuneResult:
     """Fine-tune ``pretrained`` on ``train``; evaluate on ``test`` after
     every epoch (and once before training = zero-shot).
 
     ``callbacks`` takes :class:`repro.obs.Callback` instances (or a
-    sequence of them); ``log`` is the legacy print hook, kept as a shim.
+    sequence of them).
     ``resilience`` opts into checkpoint/resume and divergence rollback
     (see :class:`repro.resilience.ResilienceConfig`).
     """
     config = config or FineTuneConfig()
-    cb = CallbackList.resolve(callbacks, log)
+    cb = CallbackList.resolve(callbacks)
     rng = child_rng(seed, "finetune", pretrained.arch, train.name)
     # Fine-tune a *copy* of the pre-trained weights so the cached zoo
     # checkpoint can be reused by other runs.

@@ -1,14 +1,12 @@
 """Training-loop callback protocol.
 
-Replaces the ad-hoc ``log=`` print-callback the training loops grew up
-with.  A :class:`Callback` receives structured dict payloads at the
-training lifecycle points; :class:`CallbackList` fans out to several;
+A :class:`Callback` receives structured dict payloads at the training
+lifecycle points; :class:`CallbackList` fans out to several;
 :class:`TelemetryCallback` bridges callbacks to a
 :class:`~repro.obs.events.TelemetryRun` sink; :class:`LoggingCallback`
-reproduces the exact human-readable lines the old ``log=`` argument
-printed, which is how the backwards-compatible shim works::
+prints human-readable progress lines::
 
-    CallbackList.resolve(callbacks, log)   # legacy log -> LoggingCallback
+    fine_tune(..., callbacks=LoggingCallback(print))
 
 All hooks receive a single ``info`` dict.  Common keys: ``phase``
 ("finetune" | "pretrain" | "deepmatcher"), then per hook: ``on_step``
@@ -68,24 +66,16 @@ class CallbackList(Callback):
         return len(self.callbacks)
 
     @staticmethod
-    def resolve(callbacks=None, log=None) -> "CallbackList":
-        """Normalize user input plus the legacy ``log=`` argument.
-
-        ``callbacks`` may be None, a single :class:`Callback`, or a
-        sequence of them; a callable ``log`` is wrapped in a
-        :class:`LoggingCallback` so pre-obs callers keep working.
-        """
+    def resolve(callbacks=None) -> "CallbackList":
+        """Normalize user input: ``callbacks`` may be None, a single
+        :class:`Callback`, or a sequence of them."""
         if isinstance(callbacks, CallbackList):
-            resolved = list(callbacks.callbacks)
-        elif callbacks is None:
-            resolved = []
-        elif isinstance(callbacks, Callback):
-            resolved = [callbacks]
-        else:
-            resolved = list(callbacks)
-        if log is not None:
-            resolved.append(LoggingCallback(log))
-        return CallbackList(resolved)
+            return CallbackList(callbacks.callbacks)
+        if callbacks is None:
+            return CallbackList()
+        if isinstance(callbacks, Callback):
+            return CallbackList([callbacks])
+        return CallbackList(callbacks)
 
     def on_train_begin(self, info: dict) -> None:
         for callback in self.callbacks:
@@ -117,7 +107,7 @@ class CallbackList(Callback):
 
 
 class LoggingCallback(Callback):
-    """Formats events into the same lines the old ``log=`` hook printed.
+    """Formats events into human-readable progress lines for ``log``.
 
     * fine-tuning: ``epoch 0 (zero-shot) F1 41.2`` then
       ``epoch 3 loss 0.412 F1 87.1 (2.3s)`` per epoch;

@@ -27,7 +27,7 @@ from .tracing import Span, Tracer, default_tracer
 
 __all__ = ["SCHEMA_VERSION", "EVENT_KINDS", "EventSink", "NullSink",
            "MemorySink", "JsonlSink", "TelemetryRun", "read_events",
-           "read_events_tolerant", "validate_event"]
+           "read_events_tolerant", "validate_event", "span_payloads"]
 
 SCHEMA_VERSION = 1
 
@@ -170,14 +170,15 @@ def read_events_tolerant(path: str | Path) -> tuple[list[dict], int]:
     return events, skipped
 
 
-def _span_events(roots: list[Span]):
-    for root in roots:
-        for span, depth, path in root.walk():
-            payload = {"name": span.name, "seconds": span.wall,
-                       "exclusive": span.exclusive, "depth": depth,
-                       "path": path}
-            payload.update(span.attrs)
-            yield payload
+def span_payloads(root: Span):
+    """One ``span`` event payload per node of ``root``'s tree: the
+    node's :meth:`~repro.obs.tracing.Span.as_dict` plus its ``depth``
+    and slash-joined ``path``."""
+    for span, depth, path in root.walk():
+        payload = span.as_dict()
+        payload["depth"] = depth
+        payload["path"] = path
+        yield payload
 
 
 class TelemetryRun:
@@ -218,8 +219,9 @@ class TelemetryRun:
     def close(self) -> None:
         if self._closed:
             return
-        for payload in _span_events(self.tracer.since(self._mark)):
-            self.emit("span", **payload)
+        for root in self.tracer.since(self._mark):
+            for payload in span_payloads(root):
+                self.emit("span", **payload)
         for name, snap in self.registry.snapshot().items():
             snap = dict(snap)
             self.emit("metric", name=name, metric_kind=snap.pop("kind"),

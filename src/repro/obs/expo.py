@@ -14,11 +14,11 @@ Three exits from the in-process observability state:
   serving ``/metrics`` (the rendered registry) and ``/healthz`` (a JSON
   health document from a caller-supplied probe).
 * :class:`SpanExporter` — drains a
-  :class:`~repro.obs.context.RequestTracer`'s completed request traces
-  into OTLP-flavored ``span`` events (trace_id / span_id /
-  parent_span_id / start / end) on any :class:`~repro.obs.events
-  .EventSink`, validated against the telemetry schema so ``repro
-  telemetry`` renders the file unchanged.
+  :class:`~repro.obs.tracing.Tracer`'s completed request traces into
+  OTLP-flavored ``span`` events (trace_id / span_id / parent_span_id /
+  start / end) on any :class:`~repro.obs.events.EventSink`, validated
+  against the telemetry schema so ``repro telemetry`` renders the file
+  unchanged.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .context import RequestTracer, StageSpan
-from .events import EventSink, JsonlSink, validate_event
+from .events import EventSink, JsonlSink, span_payloads, validate_event
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .tracing import Span, Tracer
 
 __all__ = ["render_prometheus", "parse_prometheus", "sanitize_name",
            "MetricsHTTPServer", "SpanExporter"]
@@ -254,12 +254,13 @@ class MetricsHTTPServer:
 class SpanExporter:
     """Drain completed request traces into telemetry ``span`` events.
 
-    Every span in every newly completed trace becomes one event whose
-    payload carries the OTLP essentials (``trace_id`` / ``span_id`` /
-    ``parent_span_id`` / ``start`` / ``end`` / ``seconds``) plus the
-    span's attributes; events satisfy :func:`~repro.obs.events
-    .validate_event`, so the files interleave with training telemetry
-    and render through ``repro telemetry``.  Already-exported traces
+    Every span in every newly completed trace becomes one event with
+    the payload :class:`~repro.obs.events.TelemetryRun` writes too
+    (:func:`~repro.obs.events.span_payloads`): the OTLP essentials
+    (``trace_id`` / ``span_id`` / ``parent_span_id`` / ``start`` /
+    ``end`` / ``seconds``) plus the span's attributes.  Events satisfy
+    :func:`~repro.obs.events.validate_event`, so the files interleave
+    with training telemetry and render through ``repro telemetry``.  Already-exported traces
     are remembered by trace id, so :meth:`drain` is safe to call on a
     schedule.
     """
@@ -275,12 +276,10 @@ class SpanExporter:
         """An exporter appending JSONL events to ``path``."""
         return cls(JsonlSink(path), run_id=run_id)
 
-    def export(self, root: StageSpan) -> int:
+    def export(self, root: Span) -> int:
         """Emit one trace tree; returns the number of span events."""
         emitted = 0
-        for span, depth in root.walk():
-            payload = span.as_dict()
-            payload["depth"] = depth
+        for payload in span_payloads(root):
             event = {"run_id": self.run_id, "ts": time.time(),
                      "seq": self._seq, "kind": "span",
                      "payload": payload}
@@ -291,7 +290,7 @@ class SpanExporter:
         self._seen.add(root.trace_id)
         return emitted
 
-    def drain(self, tracer: RequestTracer) -> int:
+    def drain(self, tracer: Tracer) -> int:
         """Export every completed trace not yet exported; returns the
         number of traces written."""
         drained = 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .events import read_events_tolerant, validate_event
-from .tracing import format_duration
+from ..utils.render import format_duration, format_series, format_table
 
 __all__ = ["render_report", "load_report"]
 
@@ -28,7 +28,6 @@ def _span_section(events: list[dict]) -> list[str]:
         entry["total"] += span["seconds"]
         entry["exclusive"] += span.get("exclusive", span["seconds"])
         entry["max"] = max(entry["max"], span["seconds"])
-    from ..utils.render import format_table
     rows = [[name, s["count"], format_duration(s["total"]),
              format_duration(s["exclusive"]), format_duration(s["max"])]
             for name, s in sorted(stats.items(),
@@ -50,7 +49,6 @@ def _ops_section(events: list[dict]) -> list[str]:
             entry["bytes"] += stats["bytes"]
     if not merged:
         return []
-    from ..utils.render import format_table
     rows = [[kind, int(s["calls"]), f"{s['flops'] / 1e6:.2f}",
              f"{s['bytes'] / 1e6:.2f}"]
             for kind, s in sorted(merged.items(),
@@ -60,7 +58,6 @@ def _ops_section(events: list[dict]) -> list[str]:
 
 
 def _curves_section(events: list[dict]) -> list[str]:
-    from ..utils.render import format_series
     lines = []
     evals = [e["payload"] for e in events if e["kind"] == "eval"]
     epochs = [e["payload"] for e in events if e["kind"] == "epoch_end"]

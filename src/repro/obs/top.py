@@ -5,7 +5,7 @@ tests assert on: queue depth and request counters from the
 :class:`~repro.obs.registry.MetricsRegistry`, latency quantiles from
 the bucketed histograms, error-budget state from an
 :class:`~repro.obs.slo.SLOMonitor`, and the slowest recent request
-traces from a :class:`~repro.obs.context.RequestTracer`.
+traces from a :class:`~repro.obs.tracing.Tracer`.
 
 Two data sources:
 

@@ -16,9 +16,8 @@ hardware allows without changing a single logit:
   engine emitting ``BENCH_perf.json``.
 """
 
-from .bench import (DEFAULT_ARCHS, SCHEMA_VERSION, SPEEDUP_THRESHOLD,
-                    PerfConfig, PerfGates, run_perf_benchmark,
-                    validate_report, write_report)
+from .bench import (DEFAULT_ARCHS, SCHEMA_VERSION, PerfConfig, PerfGates,
+                    run_perf_benchmark, validate_report, write_report)
 from .bucketing import is_left_padded, plan_buckets, real_lengths, trim_length
 from .cache import LRUCache, TokenizationCache, ensure_token_cache
 
@@ -26,6 +25,6 @@ __all__ = [
     "LRUCache", "TokenizationCache", "ensure_token_cache",
     "plan_buckets", "real_lengths", "is_left_padded", "trim_length",
     "run_perf_benchmark", "validate_report", "write_report",
-    "DEFAULT_ARCHS", "SPEEDUP_THRESHOLD", "SCHEMA_VERSION",
+    "DEFAULT_ARCHS", "SCHEMA_VERSION",
     "PerfConfig", "PerfGates",
 ]

@@ -31,17 +31,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 __all__ = ["run_perf_benchmark", "write_report", "validate_report",
-           "DEFAULT_ARCHS", "SPEEDUP_THRESHOLD", "SCHEMA_VERSION",
+           "DEFAULT_ARCHS", "SCHEMA_VERSION",
            "PerfGates", "PerfConfig"]
 
 DEFAULT_ARCHS = ("bert", "roberta", "distilbert", "xlnet")
 
 #: Report schema version stamped into BENCH_perf.json.
 SCHEMA_VERSION = 2
-
-#: Legacy alias (schema-1 name) for the BERT fast-path floor; kept so
-#: existing consumers of the constant keep reading the same gate.
-SPEEDUP_THRESHOLD = 2.0
 
 # Per-architecture fast-path speedup floors.  BERT keeps the historical
 # 2.0 gate; XLNet's two-stream attention leaves less fusable work so its
@@ -55,8 +51,7 @@ _ARCH_KEYS = ("pairs", "baseline_seconds", "baseline_pairs_per_sec",
               "fast_seconds", "fast_pairs_per_sec", "speedup", "phases",
               "cache", "decisions_consistent", "quantized")
 _ACCEPTANCE_KEYS = ("enforced", "passed", "architectures",
-                    "quantization", "cascade", "f1", "bert_speedup",
-                    "threshold")
+                    "quantization", "cascade", "f1")
 
 
 @dataclass(frozen=True)
@@ -347,7 +342,6 @@ def _acceptance(architectures: dict, cascade: dict | None,
         checks.append(cascade_result["passed"])
     if f1_result is not None:
         checks.append(f1_result["passed"])
-    bert_speedup = architectures.get("bert", {}).get("speedup", 0.0)
     return {
         # Smoke runs are too small for stable timing; gates are only
         # enforced on full runs.
@@ -357,10 +351,6 @@ def _acceptance(architectures: dict, cascade: dict | None,
         "quantization": quant_results,
         "cascade": cascade_result,
         "f1": f1_result,
-        # Legacy schema-1 fields, kept for continuity of the historical
-        # headline number.
-        "bert_speedup": bert_speedup,
-        "threshold": gates.arch_floor("bert"),
     }
 
 

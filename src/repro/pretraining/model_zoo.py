@@ -28,6 +28,7 @@ from pathlib import Path
 from ..models import TransformerConfig, default_config
 from ..nn import (CheckpointError, Module, apply_state_dict,
                   load_checkpoint, save_checkpoint)
+from ..obs import LoggingCallback
 from ..tokenizers import (ByteLevelBPETokenizer, SubwordTokenizer,
                           UnigramTokenizer, WordPieceTokenizer,
                           train_byte_level_bpe, train_unigram,
@@ -209,6 +210,11 @@ def _load_or_train_tokenizer(arch: str, settings: ZooSettings, seed: int,
     return tokenizer
 
 
+def _logging(log) -> LoggingCallback | None:
+    """Pre-training progress lines for ``get_pretrained``'s ``log``."""
+    return LoggingCallback(log) if log is not None else None
+
+
 def _run_pretraining(arch: str, config: TransformerConfig,
                      tokenizer: SubwordTokenizer, settings: ZooSettings,
                      seed: int, directory: Path, log) -> PretrainResult:
@@ -229,7 +235,8 @@ def _run_pretraining(arch: str, config: TransformerConfig,
         return distill(config, teacher.backbone, teacher_head, tokenizer,
                        recipe, rng, log=log)
     recipe = _recipe_for(arch, settings)
-    result = pretrain(config, tokenizer, recipe, rng, log=log)
+    result = pretrain(config, tokenizer, recipe, rng,
+                      callbacks=_logging(log))
     if arch == "bert":
         head_path = directory / (
             f"bert-head-{settings.cache_key('bert', seed)}.npz")
@@ -257,7 +264,8 @@ def _teacher_head(teacher: PretrainedModel, settings: ZooSettings,
     # is corrupt): re-run pretrain to regenerate it.
     recipe = _recipe_for("bert", settings)
     result = pretrain(teacher.config, teacher.tokenizer, recipe,
-                      child_rng(seed, "pretrain", "bert"), log=log)
+                      child_rng(seed, "pretrain", "bert"),
+                      callbacks=_logging(log))
     head = result.head
     save_checkpoint(head_path, head.state_dict(),
                     metadata={"arch": "bert-mlm-head"})

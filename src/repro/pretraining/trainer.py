@@ -115,18 +115,18 @@ def _encode_pairs(tokenizer: SubwordTokenizer, pairs, seq_len: int):
 
 def pretrain(config: TransformerConfig, tokenizer: SubwordTokenizer,
              recipe: PretrainRecipe, rng: np.random.Generator,
-             log=None, callbacks=None,
+             callbacks=None,
              resilience: ResilienceConfig | None = None) -> PretrainResult:
     """Run the architecture-appropriate pre-training and return the model.
 
     Progress is reported through the :mod:`repro.obs` callback protocol
-    (``train_begin`` → per-step ``step`` → ``train_end``); the legacy
-    ``log=`` print hook is shimmed onto a ``LoggingCallback`` (same
-    every-100-steps lines as before).  ``resilience`` opts into full-state
-    checkpointing (resume is bit-identical), divergence rollback, and
-    chaos injection — see :class:`repro.resilience.ResilienceConfig`.
+    (``train_begin`` → per-step ``step`` → ``train_end``);
+    ``LoggingCallback`` prints a loss line every 100 steps.
+    ``resilience`` opts into full-state checkpointing (resume is
+    bit-identical), divergence rollback, and chaos injection — see
+    :class:`repro.resilience.ResilienceConfig`.
     """
-    cb = CallbackList.resolve(callbacks, log)
+    cb = CallbackList.resolve(callbacks)
     backbone = build_backbone(config, rng)
     backbone.special_token_ids = tokenizer.vocab.special_ids()
     head = build_pretraining_head(config, rng)

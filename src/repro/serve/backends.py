@@ -5,9 +5,9 @@ A backend is anything with::
     score(pairs, keys, threshold, fallback, forward_hook=None, cb=None,
           stages=None) -> list[MatchOutcome]   # in order, index = key
 
-``stages`` (a :class:`repro.obs.context.BatchStages`, or None when the
+``stages`` (a :class:`repro.obs.tracing.BatchStages`, or None when the
 drained chunk contains no sampled request) lets the backend report
-clock-timed tokenize/forward stage records that the service grafts into
+clock-timed tokenize/forward stage spans that the service grafts into
 each member request's span tree; the parameter is optional in the
 protocol — the service detects support by signature and simply omits
 stage records for backends that predate it.

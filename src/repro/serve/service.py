@@ -41,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..obs import CallbackList, default_registry
-from ..obs.context import BatchStages, RequestTracer, TraceContext
+from ..obs.tracing import BatchStages, Tracer
 from ..obs.registry import LATENCY_BUCKETS
 from ..resilience.chaos import WorkerKilled
 from ..utils.concurrency import access, guarded_by
@@ -50,6 +50,9 @@ from .clock import Clock, SystemClock
 __all__ = ["ServeConfig", "ServeError", "ServiceClosed",
            "ServiceOverloaded", "RequestTimeout", "RequestCancelled",
            "MatchTicket", "MatchService"]
+
+#: Completed request traces a service's own tracer retains (a ring).
+_MAX_TRACES = 512
 
 
 @dataclass
@@ -252,14 +255,14 @@ class MatchTicket:
 class _Request:
     """Internal queue entry: one pair plus its routing/deadline state.
 
-    ``ctx`` / ``span`` / ``wait_span`` are None for unsampled requests;
-    for sampled ones the queue entry itself carries the trace context
+    ``span`` / ``wait_span`` are None for unsampled requests; for
+    sampled ones the queue entry itself carries the request's root span
     across the producer -> worker thread boundary — explicit
     propagation, no thread-locals to leak between requests.
     """
 
     __slots__ = ("id", "entity_a", "entity_b", "enqueued_at", "deadline",
-                 "ticket", "ctx", "span", "wait_span")
+                 "ticket", "span", "wait_span")
 
     def __init__(self, request_id: int, entity_a, entity_b,
                  enqueued_at: float, deadline: float | None):
@@ -269,7 +272,6 @@ class _Request:
         self.enqueued_at = enqueued_at
         self.deadline = deadline
         self.ticket = MatchTicket(request_id, enqueued_at)
-        self.ctx: TraceContext | None = None
         self.span = None
         self.wait_span = None
 
@@ -296,12 +298,12 @@ class MatchService:
 
     def __init__(self, backend, config: ServeConfig | None = None,
                  clock: Clock | None = None, registry=None, chaos=None,
-                 callbacks=None, tracer: RequestTracer | None = None):
+                 callbacks=None):
         self._backend = backend
         self.config = config or ServeConfig()
         self.clock = clock or SystemClock()
         self._chaos = chaos
-        self._cb = CallbackList.resolve(callbacks, None)
+        self._cb = CallbackList.resolve(callbacks)
         self._cond = self.clock.condition()
         self._pending: deque[_Request] = deque()  # guard: _cond
         self._inflight = 0                        # guard: _cond
@@ -323,13 +325,8 @@ class MatchService:
         #: routing path — a monotone int flip is a valid snapshot, and
         #: it flips *before* the thread object reports dead.
         self._dead_workers = 0                    # guard: _cond
-        if tracer is None:
-            tracer = RequestTracer(
-                clock=self.clock,
-                sample_rate=self.config.trace_sample_rate)
-        else:
-            tracer.bind_clock(self.clock)
-        self.tracer = tracer
+        self.tracer = Tracer(self.clock, max_traces=_MAX_TRACES,
+                             sample_rate=self.config.trace_sample_rate)
         # Stage recording needs backend cooperation; older/custom
         # backends without a ``stages`` parameter still serve fine —
         # their traces just lack tokenize/forward children.
@@ -568,8 +565,6 @@ class MatchService:
             root = self.tracer.begin_request(start=now,
                                              request_id=request.id)
             request.span = root
-            request.ctx = TraceContext(root.trace_id, root.span_id,
-                                       {"request_id": request.id})
             request.ticket.trace_id = root.trace_id
             self.tracer.attach(root, "enqueue", start=now, end=now,
                                queue_depth=len(self._pending))
@@ -853,9 +848,9 @@ class MatchService:
         self.tracer.attach(root, "batch_assembly", start=drained,
                            end=assembled, batch_size=batch_size)
         if stages is not None:
-            for record in stages.records:
-                self.tracer.attach(root, record.name, start=record.start,
-                                   end=record.end, **record.attrs)
+            for stage in stages.records:
+                self.tracer.attach(root, stage.name, start=stage.start,
+                                   end=stage.end, **stage.attrs)
         self.tracer.attach(root, "postprocess", start=done, end=done)
         attrs = {"outcome": "degraded" if outcome.degraded else "ok",
                  "probability": outcome.probability}

@@ -1,19 +1,11 @@
-"""Shared utilities: seeding, caching and report rendering.
-
-``Timer`` / ``format_duration`` moved to :mod:`repro.obs` and are
-re-exported here for backwards compatibility.
-"""
+"""Shared utilities: seeding, caching and report rendering."""
 
 from .atomic import atomic_write_bytes, atomic_write_text
 from .concurrency import access, checkpoint, guarded_by
 from .rng import child_rng, get_rng_state, set_rng_state, spawn_seeds
-# render must be imported before timer: timer pulls in repro.obs, whose
-# report module imports repro.utils.render while this package is still
-# initializing.
-from .render import format_table, format_series
-from .timer import Timer, format_duration
+from .render import format_duration, format_series, format_table
 
 __all__ = ["child_rng", "spawn_seeds", "get_rng_state", "set_rng_state",
            "atomic_write_text", "atomic_write_bytes",
            "guarded_by", "access", "checkpoint",
-           "Timer", "format_duration", "format_table", "format_series"]
+           "format_duration", "format_table", "format_series"]

@@ -1,4 +1,4 @@
-"""Plain-text rendering of result tables and per-epoch series.
+"""Plain-text rendering of result tables, per-epoch series and durations.
 
 The benchmark harness prints the same rows/series the paper reports;
 these helpers keep that output aligned and diff-friendly.
@@ -6,7 +6,7 @@ these helpers keep that output aligned and diff-friendly.
 
 from __future__ import annotations
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["format_table", "format_series", "format_duration"]
 
 
 def format_table(headers: list[str], rows: list[list], title: str = "") -> str:
@@ -32,3 +32,13 @@ def format_series(name: str, values: list[float],
     """Render one figure series as 'name: v1 v2 v3 ...'."""
     rendered = " ".join(f"{v:.{precision}f}" for v in values)
     return f"{name}: {rendered}"
+
+
+def format_duration(seconds: float) -> str:
+    """Render seconds the way the paper's Table 6 does (e.g. '2m 42s')."""
+    if seconds < 1.0:
+        return f"{seconds * 1000:.0f}ms"
+    if seconds < 60.0:
+        return f"{seconds:.1f}s"
+    minutes, rem = divmod(seconds, 60.0)
+    return f"{int(minutes)}m {rem:.0f}s"

@@ -222,7 +222,7 @@ class TestLintRules:
 
     def test_ra112_only_applies_to_serve_and_matching(self):
         source = "def f(tracer):\n    return tracer.span('x')\n"
-        assert not _only(source, "RA112", package="repro.obs.context")
+        assert not _only(source, "RA112", package="repro.obs.tracing")
         assert _only(source, "RA112", package="repro.serve.service")
         assert _only(source, "RA112", package="repro.matching.api")
 

@@ -148,4 +148,5 @@ class TestCommands:
         import json
         report = json.loads(output.read_text())
         assert report["benchmark"] == "blocking"
+        assert report["config"]["seed"] == 7
         assert report["acceptance"]["enforced"] is False

@@ -9,7 +9,7 @@ from repro.evaluation import (ALL_ARCHS, ALL_DATASETS, CellResult,
                               PAPER_TABLE5, analyze_convergence, figure,
                               run_baseline_cell, run_transformer_cell,
                               table3)
-from repro.utils import Timer, child_rng, format_duration, format_series, \
+from repro.utils import child_rng, format_duration, format_series, \
     format_table, spawn_seeds
 
 
@@ -166,9 +166,3 @@ class TestUtils:
     def test_spawn_seeds_deterministic(self):
         assert spawn_seeds(5, 3) == spawn_seeds(5, 3)
         assert len(set(spawn_seeds(5, 10))) == 10
-
-    def test_timer_measures(self):
-        import time
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.005

@@ -1,5 +1,7 @@
 """Observability layer: registry math, spans, events, profiler, wiring."""
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from repro.cli import main
 from repro.matching import FineTuneConfig, FineTuneResult, fine_tune
 from repro.nn import Tensor
-from repro.obs import (CallbackList, JsonlSink, LoggingCallback,
+from repro.obs import (JsonlSink, LoggingCallback,
                        MemorySink, MetricsRegistry, NullSink,
                        TelemetryCallback, TelemetryRun, Tracer,
                        aggregate_spans, default_tracer, load_report,
@@ -74,9 +76,10 @@ class TestTracing:
             with tracer.span("inner") as inner:
                 time.sleep(0.01)
         assert [c.name for c in outer.children] == ["inner"]
-        assert outer.wall >= inner.wall
-        assert abs(outer.exclusive - (outer.wall - inner.wall)) < 1e-9
-        assert inner.exclusive == inner.wall
+        assert outer.duration >= inner.duration
+        assert abs(outer.exclusive - (outer.duration - inner.duration)) \
+            < 1e-9
+        assert inner.exclusive == inner.duration
 
     def test_walk_paths(self):
         tracer = Tracer()
@@ -113,13 +116,99 @@ class TestTracing:
             pass
         assert default_tracer().since(mark)[-1].name == "helper-span"
 
-    def test_timer_alias_still_importable(self):
-        from repro.obs import Timer as ObsTimer
-        from repro.utils import Timer as UtilsTimer
-        assert ObsTimer is UtilsTimer
-        with UtilsTimer() as t:
-            time.sleep(0.002)
-        assert t.elapsed > 0
+    def test_threads_nest_separately(self):
+        # Two threads hold spans open at once: each builds its own tree
+        # and sees only its own open spans, whichever exits first.
+        tracer = Tracer()
+        both_open = threading.Barrier(2, timeout=5.0)
+        a_closed = threading.Event()
+        paths = {}
+
+        def run(name):
+            with tracer.span(name):
+                with tracer.span(f"{name}.inner"):
+                    both_open.wait()
+                    paths[name] = tracer.active_path()
+                if name == "b":
+                    a_closed.wait(5.0)
+            if name == "a":
+                a_closed.set()
+
+        threads = [threading.Thread(target=run, args=(name,))
+                   for name in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert paths == {"a": "a/a.inner", "b": "b/b.inner"}
+        roots = {root.name: root for root in tracer.completed}
+        assert sorted(roots) == ["a", "b"]
+        for name, root in roots.items():
+            assert root.parent_id is None
+            assert root.stage_names() == [f"{name}.inner"]
+            assert root.children[0].parent_id == root.span_id
+        assert roots["a"].trace_id != roots["b"].trace_id
+        assert tracer.active_path() == ""
+
+    def test_lifecycle_leaves_thread_stack_alone(self):
+        tracer = Tracer()
+        with tracer.span("outer"):
+            root = tracer.begin_request()
+            tracer.attach(root, "stage", start=0.0, end=0.0)
+            tracer.finish(root)
+            assert tracer.active_path() == "outer"
+        assert [s.name for s in tracer.completed] \
+            == ["serve.request", "outer"]
+        assert tracer.completed[1].children == []
+
+    def test_concurrent_spans_and_requests(self):
+        # More threads than cores on a short switch interval: every root
+        # is counted once, span ids stay unique, trees stay per thread.
+        tracer = Tracer(max_traces=64)
+        mark = tracer.mark()
+        workers, rounds = 8, 50
+
+        def run(i):
+            for _ in range(rounds):
+                with tracer.span(f"thread-{i}"):
+                    with tracer.span("inner"):
+                        pass
+                root = tracer.begin_request()
+                tracer.attach(root, "stage", start=0.0, end=0.0)
+                tracer.finish(root)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert tracer.mark() - mark == workers * rounds * 2
+        retained = tracer.since(mark)
+        assert len(retained) == 64
+        ids = [span.span_id for root in retained
+               for span, _, _ in root.walk()]
+        assert len(ids) == len(set(ids))
+        for root in retained:
+            expected = "stage" if root.name == "serve.request" else "inner"
+            assert root.stage_names() == [expected]
+
+    def test_since_counts_past_a_ring(self):
+        tracer = Tracer(max_traces=2)
+        mark = tracer.mark()
+        for name in "abc":
+            tracer.finish(tracer.begin_request(name))
+        assert [s.name for s in tracer.since(mark)] == ["b", "c"]
+        mark = tracer.mark()
+        tracer.finish(tracer.begin_request("d"))
+        assert [s.name for s in tracer.since(mark)] == ["d"]
 
 
 class TestEvents:
@@ -229,13 +318,6 @@ class TestProfiler:
 
 
 class TestCallbacks:
-    def test_resolve_shims_legacy_log(self):
-        lines = []
-        cb = CallbackList.resolve(None, lines.append)
-        assert len(cb) == 1 and bool(cb)
-        assert isinstance(cb.callbacks[0], LoggingCallback)
-        assert not CallbackList.resolve(None, None)
-
     def test_logging_callback_finetune_format(self):
         lines = []
         cb = LoggingCallback(lines.append)
@@ -317,7 +399,7 @@ class TestFineTuneIntegration:
         lines = []
         fine_tune(tiny_bert, splits.train, splits.test,
                   config=FineTuneConfig(epochs=1, batch_size=8),
-                  seed=0, log=lines.append)
+                  seed=0, callbacks=LoggingCallback(lines.append))
         assert lines[0].startswith("epoch 0 (zero-shot) F1 ")
         assert lines[1].startswith("epoch 1 loss ")
         assert lines[1].endswith("s)")
@@ -441,7 +523,7 @@ import urllib.request
 
 from repro.obs import (LATENCY_BUCKETS, SLO, Alert, BatchStages,
                        BurnWindow, CardinalityError, FAST_BURN,
-                       Histogram, MetricsHTTPServer, RequestTracer,
+                       Histogram, MetricsHTTPServer,
                        SLOMonitor, SpanExporter, TraceSampler,
                        default_serve_slos, parse_prometheus,
                        read_events_tolerant, render_prometheus)
@@ -462,7 +544,7 @@ class TestTraceContextUnits:
 
     def test_lifecycle_builds_tree_on_bound_clock(self):
         clock = VirtualClock()
-        tracer = RequestTracer(clock=clock)
+        tracer = Tracer(clock=clock)
         root = tracer.begin_request(request_id=7)
         child = tracer.child(root, "queue_wait")
         clock.advance(0.125)
@@ -471,7 +553,7 @@ class TestTraceContextUnits:
         tracer.finish(root, outcome="ok")
 
         assert child.duration == 0.125 == root.duration
-        assert [s.name for s, _ in root.walk()] \
+        assert [s.name for s, _, _ in root.walk()] \
             == ["serve.request", "queue_wait", "forward"]
         assert all(s.parent_id == root.span_id
                    for s in root.children)
@@ -480,15 +562,8 @@ class TestTraceContextUnits:
         assert payload["seconds"] == 0.125
         assert tracer.snapshot() == [root]
 
-    def test_bind_clock_does_not_override_explicit_clock(self):
-        clock = VirtualClock()
-        tracer = RequestTracer(clock=clock)
-        tracer.bind_clock(VirtualClock())
-        clock.advance(2.0)
-        assert tracer.now() == 2.0
-
     def test_span_context_manager_closes_on_error(self):
-        tracer = RequestTracer(clock=VirtualClock())
+        tracer = Tracer(clock=VirtualClock())
         with pytest.raises(RuntimeError):
             with tracer.span("serve.request"):
                 raise RuntimeError("boom")
@@ -634,7 +709,7 @@ class TestSpanExporter:
 
     def test_export_emits_schema_valid_span_events(self):
         clock = VirtualClock()
-        tracer = RequestTracer(clock=clock)
+        tracer = Tracer(clock=clock)
         self._trace(tracer, clock)
         sink = MemorySink()
         exporter = SpanExporter(sink)
@@ -650,7 +725,7 @@ class TestSpanExporter:
 
     def test_drain_deduplicates_by_trace_id(self):
         clock = VirtualClock()
-        tracer = RequestTracer(clock=clock)
+        tracer = Tracer(clock=clock)
         self._trace(tracer, clock)
         exporter = SpanExporter(MemorySink())
         assert exporter.drain(tracer) == 1

@@ -838,7 +838,7 @@ class TestRequestTracing:
             assert names[:2] == ["enqueue", "queue_wait"]
             assert names[-1] == "postprocess"
             assert {"batch_assembly", "forward"} <= set(names)
-            for span, depth in root.walk():
+            for span, depth, _ in root.walk():
                 assert span.trace_id == root.trace_id
                 assert span.end is not None
                 assert span.span_id not in seen_span_ids
