@@ -47,13 +47,16 @@ def _format_report(report: dict) -> str:
         f"RR {gate['reduction_ratio']:.6f}, "
         f"{gate['num_candidates']} candidates in {gate['seconds']}s")
     dedupe = report["dedupe"]
+    stages = ", ".join(f"{stage} {seconds}s" for stage, seconds
+                       in dedupe["stage_seconds"].items())
     lines.append(
         f"  dedupe: {dedupe['records']} records -> "
         f"{dedupe['entities']} entities (gold {dedupe['gold_entities']}) "
-        f"in {dedupe['seconds']}s, peak batch "
+        f"in {dedupe['seconds']}s ({stages}), peak batch "
         f"{dedupe['max_candidate_batch']}/"
         f"{dedupe['candidate_batch_limit']} "
-        f"({'streamed' if dedupe['streamed'] else 'NOT STREAMED'})")
+        f"({'streamed' if dedupe['streamed'] else 'NOT STREAMED'}), "
+        f"peak RSS {dedupe['peak_rss_mb']} MB")
     acc = report["acceptance"]
     lines.append(
         f"  acceptance: PC {acc['pairs_completeness']:.4f}/"

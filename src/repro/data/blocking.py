@@ -6,7 +6,8 @@ the matcher classifies.  This module provides that missing stage so the
 library works on raw record collections too, at catalog scale:
 
 * :class:`Blocker` — the protocol every blocker implements: streaming,
-  batched candidate emission (:meth:`Blocker.iter_candidates`) in both
+  batched candidate emission (:meth:`Blocker.iter_candidates`, one
+  :class:`CandidateBatch` of int64 index columns at a time) in both
   A x B *linkage* mode and single-collection *self-join* (dedup) mode,
   so 100k+ records never materialize the cross product;
 * :class:`TokenBlocker` — inverted-index blocking on shared tokens, with
@@ -41,6 +42,7 @@ import re
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from math import log
 from typing import Iterable, Iterator
 
@@ -49,7 +51,7 @@ import numpy as np
 from ..obs.tracing import trace
 from .records import Record
 
-__all__ = ["CandidatePair", "Blocker", "TokenBlocker",
+__all__ = ["CandidatePair", "CandidateBatch", "Blocker", "TokenBlocker",
            "SortedNeighborhoodBlocker", "TfIdfBlocker",
            "MinHashLSHBlocker", "BlockingQuality", "evaluate_blocking"]
 
@@ -67,9 +69,42 @@ class CandidatePair:
     index_b: int
 
 
+@dataclass(frozen=True, eq=False)
+class CandidateBatch:
+    """One emitted batch of candidate pairs as two int64 index columns.
+
+    ``index_a[k], index_b[k]`` is the batch's ``k``-th pair, with the
+    index semantics of :class:`CandidatePair`.  Column consumers (the
+    dedupe pipeline, ``repro bench blocking``) read the arrays; per-pair
+    consumers iterate the batch, which yields :class:`CandidatePair`
+    objects in order.
+    """
+
+    index_a: np.ndarray
+    index_b: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index_a)
+
+    def __iter__(self) -> Iterator[CandidatePair]:
+        return map(CandidatePair, self.index_a.tolist(),
+                   self.index_b.tolist())
+
+
 _WORD = re.compile(r"[a-z0-9]+")
 #: Signature value of a record without shingles (the identity of min).
 _EMPTY = np.iinfo(np.uint64).max
+#: Records shingled and signed per step of
+#: :meth:`MinHashLSHBlocker.signatures`: the per-gram arrays and the
+#: permutation minima never hold more than one chunk's worth.
+_SHINGLE_CHUNK = 4096
+#: Bits per character of a packed character gram.  Normalized text is
+#: ASCII, so grams of up to ``_PACKED_MAX`` characters pack into 56
+#: bits of an int64, with the gram's length as a tag above them.
+_CHAR_BITS = 7
+_PACKED_MAX = 8
+#: Odd multiplier folding a band's hash rows into one uint64 sort key.
+_FOLD = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _blob(record, attributes: list[str] | None) -> str:
@@ -84,50 +119,75 @@ class Blocker:
     """Candidate-generation protocol shared by every blocker.
 
     Subclasses implement :meth:`_iter_pairs`, a generator over
-    :class:`CandidatePair` for either *linkage* (two collections) or
-    *self-join* (``records_b is None``; emits ``index_a < index_b``
-    within the one collection).  The public surface is uniform:
+    ``(index_a, index_b)`` tuples for either *linkage* (two collections)
+    or *self-join* (``records_b is None``; emits ``index_a < index_b``
+    within the one collection), or override :meth:`_iter_columns` to
+    emit int64 index columns directly.  The public surface is uniform:
 
-    * :meth:`iter_candidates` — streaming emission in bounded batches,
-      the form the dedupe pipeline consumes: at no point does a blocker
-      (or its caller) hold the |A| x |B| cross product;
+    * :meth:`iter_candidates` — streaming emission in bounded batches
+      (:class:`CandidateBatch`), the form the dedupe pipeline consumes:
+      at no point does a blocker (or its caller) hold the |A| x |B|
+      cross product;
     * :meth:`candidates` — the convenience list form for small inputs
       and the evaluation helpers.
     """
 
     def _iter_pairs(self, records_a: list, records_b: list | None
-                    ) -> Iterator[CandidatePair]:
+                    ) -> Iterator[tuple[int, int]]:
         raise NotImplementedError
+
+    def _iter_columns(self, records_a: list, records_b: list | None,
+                      batch_size: int
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Candidates as ``(index_a, index_b)`` int64 column runs of any
+        length, in emission order; the default packs :meth:`_iter_pairs`
+        ``batch_size`` pairs at a time."""
+        pairs = self._iter_pairs(records_a, records_b)
+        while chunk := list(islice(pairs, batch_size)):
+            left, right = np.array(chunk, dtype=np.int64).T.copy()
+            yield left, right
 
     def iter_candidates(self, records_a: Iterable,
                         records_b: Iterable | None = None,
                         batch_size: int = 2048
-                        ) -> Iterator[list[CandidatePair]]:
-        """Yield candidate pairs in lists of at most ``batch_size``.
+                        ) -> Iterator[CandidateBatch]:
+        """Yield candidate pairs in batches of exactly ``batch_size``
+        (the last one may be shorter).
 
         ``records_b=None`` selects self-join (dedup) mode.  Streaming:
-        memory tracks the index structures and one emitted batch, never
-        the cross product.
+        memory tracks the index structures and one run of emitted
+        columns, never the cross product.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         records_a = list(records_a)
         records_b = None if records_b is None else list(records_b)
-        batch: list[CandidatePair] = []
-        for pair in self._iter_pairs(records_a, records_b):
-            batch.append(pair)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+        held_a: list[np.ndarray] = []
+        held_b: list[np.ndarray] = []
+        held = 0
+        for left, right in self._iter_columns(records_a, records_b,
+                                               batch_size):
+            held_a.append(left)
+            held_b.append(right)
+            held += len(left)
+            if held < batch_size:
+                continue
+            left, right = np.concatenate(held_a), np.concatenate(held_b)
+            cut = held - held % batch_size
+            for lo in range(0, cut, batch_size):
+                yield CandidateBatch(left[lo: lo + batch_size],
+                                     right[lo: lo + batch_size])
+            held_a, held_b, held = [left[cut:]], [right[cut:]], held - cut
+        if held:
+            yield CandidateBatch(np.concatenate(held_a),
+                                 np.concatenate(held_b))
 
     def candidates(self, records_a: Iterable,
                    records_b: Iterable | None = None) -> list[CandidatePair]:
         """All candidate pairs as one list (linkage or self-join)."""
         return [pair
-                for chunk in self.iter_candidates(records_a, records_b)
-                for pair in chunk]
+                for batch in self.iter_candidates(records_a, records_b)
+                for pair in batch]
 
 
 class TokenBlocker(Blocker):
@@ -160,7 +220,8 @@ class TokenBlocker(Blocker):
     def _tokens(self, record) -> set[str]:
         return set(_blob(record, self.attributes).lower().split())
 
-    def _iter_pairs(self, records_a, records_b) -> Iterator[CandidatePair]:
+    def _iter_pairs(self, records_a, records_b
+                    ) -> Iterator[tuple[int, int]]:
         if records_b is None:
             yield from self._iter_self(records_a)
             return
@@ -188,9 +249,9 @@ class TokenBlocker(Blocker):
                     shared[j] += 1
             for j in sorted(shared):
                 if shared[j] >= self.min_shared:
-                    yield CandidatePair(i, j)
+                    yield i, j
 
-    def _iter_self(self, records) -> Iterator[CandidatePair]:
+    def _iter_self(self, records) -> Iterator[tuple[int, int]]:
         sets = [self._tokens(r) for r in records]
         postings: dict[str, list[int]] = defaultdict(list)
         for i, tokens in enumerate(sets):
@@ -208,7 +269,7 @@ class TokenBlocker(Blocker):
                         shared[j] += 1
             for j in sorted(shared):
                 if shared[j] >= self.min_shared:
-                    yield CandidatePair(i, j)
+                    yield i, j
 
 
 class SortedNeighborhoodBlocker(Blocker):
@@ -235,7 +296,8 @@ class SortedNeighborhoodBlocker(Blocker):
             value = ""
         return (value or "").lower()[: self.key_length]
 
-    def _iter_pairs(self, records_a, records_b) -> Iterator[CandidatePair]:
+    def _iter_pairs(self, records_a, records_b
+                    ) -> Iterator[tuple[int, int]]:
         if records_b is None:
             ordered = sorted(range(len(records_a)),
                              key=lambda i: self._key(records_a[i]))
@@ -246,7 +308,7 @@ class SortedNeighborhoodBlocker(Blocker):
                     pair = (min(index, other), max(index, other))
                     if pair not in seen:
                         seen.add(pair)
-                        yield CandidatePair(*pair)
+                        yield pair
             return
         merged = ([(self._key(r), 0, i) for i, r in enumerate(records_a)]
                   + [(self._key(r), 1, j) for j, r in enumerate(records_b)])
@@ -261,7 +323,7 @@ class SortedNeighborhoodBlocker(Blocker):
                         else (other_index, index))
                 if pair not in seen:
                     seen.add(pair)
-                    yield CandidatePair(*pair)
+                    yield pair
 
 
 class TfIdfBlocker(Blocker):
@@ -337,7 +399,8 @@ class TfIdfBlocker(Blocker):
             kept = [(j, s) for j, s in kept if s >= floor]
         return sorted(j for j, _ in kept)
 
-    def _iter_pairs(self, records_a, records_b) -> Iterator[CandidatePair]:
+    def _iter_pairs(self, records_a, records_b
+                    ) -> Iterator[tuple[int, int]]:
         self_join = records_b is None
         corpus = records_a if self_join else records_b
         counts_b = [self._counts(r) for r in corpus]
@@ -359,12 +422,12 @@ class TfIdfBlocker(Blocker):
                         scores[j] += weight * weight_b
             for j in self._top(scores):
                 if not self_join:
-                    yield CandidatePair(i, j)
+                    yield i, j
                     continue
                 pair = (min(i, j), max(i, j))
                 if pair not in seen:
                     seen.add(pair)
-                    yield CandidatePair(*pair)
+                    yield pair
 
 
 class MinHashLSHBlocker(Blocker):
@@ -441,10 +504,14 @@ class MinHashLSHBlocker(Blocker):
 
     # -- shingling -----------------------------------------------------------
 
+    def _text(self, record) -> str:
+        """Normalized text: the lower-cased ``[a-z0-9]+`` words."""
+        return " ".join(_WORD.findall(_blob(record,
+                                            self.attributes).lower()))
+
     def _grams(self, record) -> list[str]:
         """Shingle strings of one record (empty for all-empty text)."""
-        text = " ".join(_WORD.findall(_blob(record,
-                                            self.attributes).lower()))
+        text = self._text(record)
         if not text:
             return []
         size = self.shingle_size
@@ -460,55 +527,112 @@ class MinHashLSHBlocker(Blocker):
 
     def shingles(self, record) -> set[int]:
         """Stable 64-bit shingle hashes of one record."""
-        return {self._digest(gram) for gram in self._grams(record)}
+        return {_digest(gram.encode("utf-8"))
+                for gram in self._grams(record)}
 
-    @staticmethod
-    def _digest(gram: str) -> int:
-        # Stable across processes (unlike hash(), which is salted).
-        raw = hashlib.blake2b(gram.encode("utf-8"), digest_size=8)
-        return int.from_bytes(raw.digest(), "little")
+    def _packed_shingles(self, records: list, vocab: _PackedVocabulary
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Character grams of a chunk as int64 codes, deduplicated by
+        numpy sorts.
+
+        Every gram of the chunk is packed from one ASCII buffer of the
+        normalized texts, ``_CHAR_BITS`` per character, left-aligned.
+        A text shorter than ``shingle_size`` is its own single gram: it
+        is zero-filled past its end, so it packs to one code whatever
+        text follows it, and tagged with its length, so it never shares
+        a code with a full gram.  Returns the rows (of the chunk) with
+        grams, the start of each row's segment, and the digests of each
+        row's distinct grams, segment by segment (order within a
+        segment is irrelevant to min).
+        """
+        size = self.shingle_size
+        texts = [self._text(record) for record in records]
+        raw = "".join(texts).encode("ascii")
+        lengths = np.fromiter(map(len, texts), dtype=np.int64,
+                              count=len(texts))
+        counts = np.where(lengths >= size, lengths - size + 1,
+                          np.minimum(lengths, 1))
+        owner, offset = _runs(np.cumsum(lengths) - lengths, counts)
+        width = np.minimum(lengths, size)[owner]
+        buffer = np.frombuffer(raw + bytes(size), dtype=np.uint8)
+        codes = width << (_CHAR_BITS * size)
+        for k in range(size):
+            char = buffer[offset + k].astype(np.int64)
+            char[width <= k] = 0
+            codes |= char << (_CHAR_BITS * (size - 1 - k))
+        order = np.argsort(codes)
+        ordered = codes[order]
+        head = _heads(ordered)
+        distinct, where = ordered[head], order[head]
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(head) - 1
+        at, span = offset[where].tolist(), width[where].tolist()
+        digests = vocab.digests(distinct,
+                                lambda k: raw[at[k]: at[k] + span[k]])
+        # One key per (row, distinct gram): sorting dedupes each row.
+        stride = max(len(distinct), 1)
+        keys = np.sort(owner * stride + inverse)
+        keys = keys[_heads(keys)]
+        rows = keys // stride
+        starts = np.flatnonzero(_heads(rows))
+        return rows[starts], starts, digests[keys % stride]
+
+    def _listed_shingles(self, records: list, vocab: dict[str, int]
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Token grams (and character grams too long to pack), one
+        Python set per record; ``vocab`` maps each gram to its digest."""
+        rows: list[int] = []
+        counts: list[int] = []
+        flat = array("Q")
+        for i, record in enumerate(records):
+            grams = set(self._grams(record))
+            if not grams:
+                continue
+            for gram in grams.difference(vocab):
+                vocab[gram] = _digest(gram.encode("utf-8"))
+            rows.append(i)
+            counts.append(len(grams))
+            flat.extend(map(vocab.__getitem__, grams))
+        starts = np.cumsum([0] + counts[:-1])
+        return (np.array(rows, dtype=np.int64), starts,
+                np.array(flat, dtype=np.uint64))
 
     # -- signatures ----------------------------------------------------------
 
     def signatures(self, records: Iterable) -> np.ndarray:
         """MinHash signature matrix, shape (n_records, num_permutations).
 
-        Each distinct shingle of the whole collection is hashed once;
-        records index into that vocabulary.  Rows for empty-shingle
+        Records are shingled and signed ``_SHINGLE_CHUNK`` at a time;
+        each distinct shingle of the whole collection is hashed once (a
+        vocabulary shared across chunks).  Rows for empty-shingle
         records are all ``uint64`` max (the identity of ``min``);
-        :meth:`_iter_pairs` excludes them from banding.
+        :meth:`_iter_columns` excludes them from banding.  The matrix
+        is stored permutation-major (this is a transposed view), so a
+        band's rows are contiguous.
         """
         records = list(records)
-        signature = np.full((len(records), self.num_permutations),
+        signature = np.full((self.num_permutations, len(records)),
                             _EMPTY, dtype=np.uint64)
-        with trace("blocking.shingle", records=len(records)):
-            vocab: dict[str, int] = {}
-            rows: list[int] = []
-            counts: list[int] = []
-            flat = array("q")
-            for i, record in enumerate(records):
-                grams = set(self._grams(record))
-                if not grams:
-                    continue
-                for gram in grams.difference(vocab):
-                    vocab[gram] = len(vocab)
-                rows.append(i)
-                counts.append(len(grams))
-                flat.extend(map(vocab.__getitem__, grams))
-            digests = np.fromiter(map(self._digest, vocab),
-                                  dtype=np.uint64, count=len(vocab))
-        if not rows:
-            return signature
-        with trace("blocking.signature", records=len(rows)):
-            hashes = digests[np.frombuffer(flat, dtype=np.int64)]
-            starts = np.cumsum([0] + counts[:-1])
-            minima = np.empty((self.num_permutations, len(rows)),
-                              dtype=np.uint64)
-            for p in range(self.num_permutations):
-                hashed = hashes * self._mult[p] + self._add[p]
-                np.minimum.reduceat(hashed, starts, out=minima[p])
-            signature[rows] = minima.T
-        return signature
+        packed = (self.shingle_mode == "char"
+                  and self.shingle_size <= _PACKED_MAX)
+        vocab = _PackedVocabulary() if packed else {}
+        shingle = self._packed_shingles if packed else self._listed_shingles
+        for lo in range(0, len(records), _SHINGLE_CHUNK):
+            chunk = records[lo: lo + _SHINGLE_CHUNK]
+            with trace("blocking.shingle", records=len(chunk)):
+                rows, starts, hashes = shingle(chunk, vocab)
+            if not len(rows):
+                continue
+            with trace("blocking.signature", records=len(rows)):
+                minima = np.empty((self.num_permutations, len(rows)),
+                                  dtype=np.uint64)
+                hashed = np.empty_like(hashes)
+                for p in range(self.num_permutations):
+                    np.multiply(hashes, self._mult[p], out=hashed)
+                    np.add(hashed, self._add[p], out=hashed)
+                    np.minimum.reduceat(hashed, starts, out=minima[p])
+                signature[:, lo + rows] = minima
+        return signature.T
 
     @staticmethod
     def estimate_jaccard(signature_a: np.ndarray,
@@ -535,8 +659,9 @@ class MinHashLSHBlocker(Blocker):
 
     # -- banding -------------------------------------------------------------
 
-    def _iter_pairs(self, records_a, records_b) -> Iterator[CandidatePair]:
-        """Candidates band by band, in a fixed order.
+    def _iter_columns(self, records_a, records_b, batch_size
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Candidate columns band by band, in a fixed order.
 
         Within a band, self-join emits buckets by first appearance and,
         per bucket, every ``(members[a], members[b])`` with ``a < b``
@@ -545,37 +670,38 @@ class MinHashLSHBlocker(Blocker):
         by an earlier band is skipped.  Each band's pairs are computed
         (inside its ``blocking.band`` span) before any is yielded.
         """
+        del batch_size  # whole bands; iter_candidates cuts the batches
         self_join = records_b is None
-        sig_a = self.signatures(records_a)
-        sig_b = sig_a if self_join else self.signatures(records_b)
-        rows_a = np.flatnonzero(~np.all(sig_a == _EMPTY, axis=1))
+        sig_a = self.signatures(records_a).T
+        sig_b = sig_a if self_join else self.signatures(records_b).T
+        rows_a = np.flatnonzero(~np.all(sig_a == _EMPTY, axis=0))
         rows_b = (rows_a if self_join
-                  else np.flatnonzero(~np.all(sig_b == _EMPTY, axis=1)))
-        width_b = len(sig_b)
+                  else np.flatnonzero(~np.all(sig_b == _EMPTY, axis=0)))
+        width_b = sig_b.shape[1]
         seen = np.empty(0, dtype=np.int64)
         for band in range(self.num_bands):
             lo = band * self.band_size
-            columns = slice(lo, lo + self.band_size)
+            hashes = slice(lo, lo + self.band_size)
             with trace("blocking.band", band=band):
                 if self_join:
-                    left, right = self._self_band(sig_a[rows_a, columns],
+                    left, right = self._self_band(sig_a[hashes, rows_a],
                                                   rows_a)
                 else:
-                    left, right = self._link_band(sig_a[rows_a, columns],
+                    left, right = self._link_band(sig_a[hashes, rows_a],
                                                   rows_a,
-                                                  sig_b[rows_b, columns],
+                                                  sig_b[hashes, rows_b],
                                                   rows_b)
                 keys = left * width_b + right
                 fresh = ~_contains(seen, keys)
                 left, right = left[fresh], right[fresh]
                 seen = _merge(seen, keys[fresh])
-            yield from map(CandidatePair, left.tolist(), right.tolist())
+            yield left, right
 
     def _self_band(self, band: np.ndarray, rows: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
         """Pairs within each band bucket of 2..max_bucket_size rows."""
-        buckets, sizes = _bucket_ids(band)
-        members = rows[np.argsort(buckets, kind="stable")]
+        grouped, sizes, _ = _buckets(band)
+        members = rows[grouped]
         ends = np.repeat(np.cumsum(sizes), sizes)
         kept = np.repeat((sizes >= 2) & (sizes <= self.max_bucket_size),
                          sizes)
@@ -589,10 +715,11 @@ class MinHashLSHBlocker(Blocker):
                    ) -> tuple[np.ndarray, np.ndarray]:
         """A rows against the B members of their bucket, the bucket
         size counted on B's side alone."""
-        buckets, sizes = _bucket_ids(np.concatenate([band_b, band_a]))
-        buckets_b, buckets_a = buckets[:len(rows_b)], buckets[len(rows_b):]
-        sizes_b = np.bincount(buckets_b, minlength=len(sizes))
-        members_b = rows_b[np.argsort(buckets_b, kind="stable")]
+        grouped, sizes, buckets = _buckets(
+            np.concatenate([band_b, band_a], axis=1))
+        buckets_a = buckets[len(rows_b):]
+        sizes_b = np.bincount(buckets[:len(rows_b)], minlength=len(sizes))
+        members_b = rows_b[grouped[grouped < len(rows_b)]]
         starts_b = np.cumsum(sizes_b) - sizes_b
         partners = sizes_b[buckets_a]
         partners[partners > self.max_bucket_size] = 0
@@ -600,21 +727,79 @@ class MinHashLSHBlocker(Blocker):
         return rows_a[owner], members_b[partner]
 
 
-def _bucket_ids(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket of every row of one band and each bucket's size.
+def _digest(gram: bytes) -> int:
+    """Stable 64-bit digest of a gram's UTF-8 bytes (unlike ``hash()``,
+    which is salted per process)."""
+    raw = hashlib.blake2b(gram, digest_size=8)
+    return int.from_bytes(raw.digest(), "little")
 
-    Rows with equal band values share a bucket; buckets are numbered by
-    the first row that lands in them.
+
+class _PackedVocabulary:
+    """Packed gram codes seen so far (sorted) and their digests."""
+
+    def __init__(self):
+        self._codes = np.empty(0, dtype=np.int64)
+        self._digests = np.empty(0, dtype=np.uint64)
+
+    def digests(self, codes: np.ndarray, gram) -> np.ndarray:
+        """Digests of the sorted distinct ``codes``.  ``gram(k)`` returns
+        the bytes of ``codes[k]``; it is called (and hashed) only for
+        codes no earlier chunk has seen."""
+        fresh = np.flatnonzero(~_contains(self._codes, codes))
+        if len(fresh):
+            hashed = np.fromiter((_digest(gram(k)) for k in fresh.tolist()),
+                                 dtype=np.uint64, count=len(fresh))
+            at = np.searchsorted(self._codes, codes[fresh])
+            self._codes = np.insert(self._codes, at, codes[fresh])
+            self._digests = np.insert(self._digests, at, hashed)
+        return self._digests[np.searchsorted(self._codes, codes)]
+
+
+def _heads(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal values."""
+    head = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    return head
+
+
+def _buckets(band: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the records (columns) of one band by equal band values.
+
+    Returns the record positions grouped by bucket (buckets in order of
+    their first record, records ascending within a bucket), each
+    bucket's size in that order, and the bucket number of every record.
+    The band's rows are folded into one uint64 key and sorted; if equal
+    keys hold distinct band values (a fold collision), the band is
+    sorted again by ``lexsort`` over its rows.
     """
-    width = band.dtype.itemsize * band.shape[1]
-    keys = np.ascontiguousarray(band).view(np.dtype((np.void, width)))
-    _, first, inverse, sizes = np.unique(
-        keys.ravel(), return_index=True, return_inverse=True,
-        return_counts=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse.ravel()], sizes[order]
+    count = band.shape[1]
+    if not count:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    key = band[0].copy()
+    for row in band[1:]:
+        key = key * _FOLD + row
+    order = np.argsort(key)
+    head = _heads(key[order])
+    later = order[~head]
+    previous = order[np.flatnonzero(~head) - 1]
+    if np.any(band[:, later] != band[:, previous]):
+        order = np.lexsort(band)
+        ordered = band[:, order]
+        head = np.ones(count, dtype=bool)
+        np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=head[1:])
+    starts = np.flatnonzero(head)
+    first = np.minimum.reduceat(order, starts)
+    sizes = np.diff(starts, append=count)
+    # Sorting by (first record of the bucket, record) orders buckets by
+    # first appearance and members ascending.
+    ranked = np.sort(np.repeat(first, sizes) * count + order)
+    grouped = ranked % count
+    sizes = np.diff(np.flatnonzero(_heads(ranked // count)), append=count)
+    buckets = np.empty(count, dtype=np.int64)
+    buckets[grouped] = np.repeat(np.arange(len(sizes)), sizes)
+    return grouped, sizes, buckets
 
 
 def _runs(starts: np.ndarray, lengths: np.ndarray

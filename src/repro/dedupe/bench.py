@@ -12,16 +12,24 @@ configured emission batch, evidence the cross product was never
 materialized).
 
 A small-scale comparison table also runs all four blockers side by
-side, feeding the README trade-off table.  The report is written to
-``BENCH_blocking.json`` with ``"schema": 1``.
+side, feeding the README trade-off table.  The dedupe section also
+records its stage seconds (``block``: the ``blocking.*`` spans;
+``score``: the rest of ``dedupe.block_score``, i.e. building, scoring
+and unioning the candidate pairs; ``cluster``: ``dedupe.cluster``) and
+the process's peak resident set size so far (``peak_rss_mb``, from
+``getrusage``; it covers every stage run before it).  The report is
+written to ``BENCH_blocking.json`` with ``"schema": 1``.
 """
 
 from __future__ import annotations
 
 import json
+import resource
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from ..data.blocking import (MinHashLSHBlocker, SortedNeighborhoodBlocker,
                              TfIdfBlocker, TokenBlocker)
@@ -84,6 +92,10 @@ def _comparison_blockers(seed: int) -> list[tuple[str, object]]:
 def _measure(blocker, catalog, candidate_batch: int) -> dict:
     """Stream one blocker over a catalog; quality + timing + volume."""
     gold = catalog.gold_pairs()
+    n = len(catalog.records)
+    # Pair (i, j) as the int64 key i * n + j, looked up in sorted gold.
+    gold_keys = np.sort(np.fromiter((i * n + j for i, j in gold),
+                                    dtype=np.int64, count=len(gold)))
     found = 0
     num_candidates = 0
     high_water = 0
@@ -92,11 +104,11 @@ def _measure(blocker, catalog, candidate_batch: int) -> dict:
                                          batch_size=candidate_batch):
         high_water = max(high_water, len(batch))
         num_candidates += len(batch)
-        for pair in batch:
-            if (pair.index_a, pair.index_b) in gold:
-                found += 1
+        keys = batch.index_a * n + batch.index_b
+        at = np.searchsorted(gold_keys, keys)
+        hit = at < len(gold_keys)
+        found += int(np.count_nonzero(gold_keys[at[hit]] == keys[hit]))
     elapsed = time.perf_counter() - start
-    n = len(catalog.records)
     cross = n * (n - 1) // 2
     # Streaming counterpart of evaluate_blocking: candidates are counted
     # and intersected with gold on the fly, never collected into a set.
@@ -154,6 +166,7 @@ def run_blocking_benchmark(config: BlockingBenchConfig | None = None,
         f"({stages})")
 
     log("blocking bench: end-to-end dedupe over the gate catalog")
+    mark = default_tracer().mark()
     start = time.perf_counter()
     result = dedupe_records(
         large.records, _gate_blocker(config.seed),
@@ -161,6 +174,16 @@ def run_blocking_benchmark(config: BlockingBenchConfig | None = None,
         DedupeConfig(threshold=config.threshold,
                      candidate_batch=config.candidate_batch))
     dedupe_seconds = time.perf_counter() - start
+    spans = aggregate_spans(default_tracer().since(mark))
+    block = sum(spans.get(f"blocking.{stage}", {}).get("total", 0.0)
+                for stage in _GATE_STAGES)
+    block_score = spans.get("dedupe.block_score", {}).get("total", 0.0)
+    dedupe_stages = {
+        "block": round(block, 3),
+        "score": round(block_score - block, 3),
+        "cluster": round(spans.get("dedupe.cluster", {}).get("total", 0.0),
+                         3)}
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     streaming_ok = result.max_candidate_batch <= config.candidate_batch
     dedupe = {
         "records": result.num_records,
@@ -173,9 +196,14 @@ def run_blocking_benchmark(config: BlockingBenchConfig | None = None,
         "max_candidate_batch": result.max_candidate_batch,
         "candidate_batch_limit": config.candidate_batch,
         "streamed": streaming_ok,
+        "stage_seconds": dedupe_stages,
+        "peak_rss_mb": round(peak_rss_mb, 1),
     }
+    stages = ", ".join(f"{stage} {seconds}s" for stage, seconds
+                       in dedupe_stages.items())
     log(f"  dedupe: {result.num_entities} entities from "
         f"{result.num_records} records in {dedupe_seconds:.1f}s "
+        f"({stages}; peak RSS {peak_rss_mb:.0f} MB) "
         f"(gold {large.meta['num_entities']})")
 
     gates = config.gates

@@ -4,12 +4,14 @@
 ids in three streamed stages:
 
 1. **block** — a :class:`repro.data.Blocker` emits candidate pairs in
-   bounded batches (self-join mode, never the cross product);
+   bounded batches of int64 index columns (self-join mode, never the
+   cross product);
 2. **score** — each batch is scored through any engine speaking the
    ``score_pairs`` protocol (:class:`repro.matching.MatchEngine` via
    :meth:`EntityMatcher.engine`, :class:`repro.matching.CascadeEngine`,
    or the model-free :class:`repro.dedupe.SimilarityEngine`);
-3. **cluster** — match edges fold into a :class:`UnionFind`
+3. **cluster** — each batch's match flags are read once into an
+   array, only the matched edges fold into a :class:`UnionFind`
    incrementally, and the transitive closure becomes min-index entity
    ids.
 
@@ -27,6 +29,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from ..data.blocking import Blocker
 from ..obs import default_registry
@@ -113,23 +117,29 @@ def dedupe_records(records, blocker: Blocker, engine,
                 num_candidates += len(batch)
                 registry.counter("blocking.candidates").inc(len(batch))
                 registry.counter("blocking.batches").inc()
-                pairs = [(records[c.index_a], records[c.index_b])
-                         for c in batch]
+                left = batch.index_a.tolist()
+                right = batch.index_b.tolist()
+                pairs = list(zip(map(records.__getitem__, left),
+                                 map(records.__getitem__, right)))
                 outcomes = engine.score_pairs(
                     pairs, threshold=config.threshold,
                     fallback=config.fallback,
                     batch_size=config.batch_size,
                     keys=list(range(len(pairs))))
                 registry.counter("dedupe.pairs_scored").inc(len(outcomes))
-                for candidate, outcome in zip(batch, outcomes):
-                    if outcome.degraded:
-                        num_degraded += 1
-                        registry.counter("dedupe.degraded").inc()
-                    if outcome.matched:
-                        num_matches += 1
-                        forest.union(candidate.index_a, candidate.index_b)
-                registry.counter("dedupe.matches").inc(
-                    sum(1 for o in outcomes if o.matched))
+                matched = np.fromiter((o.matched for o in outcomes),
+                                      dtype=bool, count=len(outcomes))
+                degraded = int(np.fromiter(
+                    (o.degraded for o in outcomes), dtype=bool,
+                    count=len(outcomes)).sum())
+                if degraded:
+                    num_degraded += degraded
+                    registry.counter("dedupe.degraded").inc(degraded)
+                edges = np.flatnonzero(matched).tolist()
+                for k in edges:
+                    forest.union(left[k], right[k])
+                num_matches += len(edges)
+                registry.counter("dedupe.matches").inc(len(edges))
                 if cb is not None:
                     cb(batch_index, len(outcomes))
         with trace("dedupe.cluster"):

@@ -24,10 +24,10 @@ def _text(entity, attributes: list[str] | None) -> str:
 
 
 def _jaccard(tokens_a: set[str], tokens_b: set[str]) -> float:
-    if not tokens_a and not tokens_b:
-        return 0.0
-    union = len(tokens_a | tokens_b)
-    return len(tokens_a & tokens_b) / union if union else 0.0
+    """Token-set Jaccard; the union is counted, never built."""
+    shared = len(tokens_a & tokens_b)
+    union = len(tokens_a) + len(tokens_b) - shared
+    return shared / union if union else 0.0
 
 
 class SimilarityEngine:

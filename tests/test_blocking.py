@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import Record
-from repro.data.blocking import (BlockingQuality, CandidatePair,
-                                 MinHashLSHBlocker, _blob,
+from repro.data import blocking
+from repro.data.blocking import (BlockingQuality, CandidateBatch,
+                                 CandidatePair, MinHashLSHBlocker, _blob,
                                  SortedNeighborhoodBlocker, TfIdfBlocker,
                                  TokenBlocker, evaluate_blocking)
 from repro.data.generators import universe
@@ -189,6 +190,31 @@ class TestBlockerProtocol:
     @pytest.mark.parametrize("make", _ALL_BLOCKERS)
     def test_empty_collection(self, make):
         assert make().candidates([]) == []
+
+    @pytest.mark.parametrize("linkage", [False, True])
+    @pytest.mark.parametrize("make", _ALL_BLOCKERS)
+    def test_batches_are_exact_int64_columns(self, make, linkage):
+        # Every batch but the last holds exactly batch_size pairs, and
+        # the concatenated columns are candidates() in order.
+        if linkage:
+            inputs = (_catalog_records(25, seed=1),
+                      _catalog_records(25, seed=2))
+        else:
+            inputs = (_catalog_records(40),)
+        batches = list(make().iter_candidates(*inputs, batch_size=7))
+        assert len(batches) > 1
+        for batch in batches:
+            assert isinstance(batch, CandidateBatch)
+            assert batch.index_a.dtype == np.int64
+            assert batch.index_b.dtype == np.int64
+            assert len(batch.index_a) == len(batch.index_b) == len(batch)
+        assert all(len(batch) == 7 for batch in batches[:-1])
+        assert 1 <= len(batches[-1]) <= 7
+        columns = list(zip(
+            np.concatenate([b.index_a for b in batches]).tolist(),
+            np.concatenate([b.index_b for b in batches]).tolist()))
+        assert columns == [(p.index_a, p.index_b)
+                           for p in make().candidates(*inputs)]
 
 
 class TestSortedNeighborhoodRegressions:
@@ -518,6 +544,89 @@ class TestMinHashBitIdentity:
         assert len(pairs) == 4258
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "0338a260f0fe6490a23b4bc2ecf414bcb6a6ab5b7bc606f70e20fdf065b02a27")
+
+
+#: Texts for the packed-shingle property: words, digits, punctuation
+#: runs, and non-ASCII characters (some of which lower-case to ASCII:
+#: the Kelvin sign and the dotted capital I).
+_shingle_texts = st.lists(
+    st.one_of(st.text(alphabet="abz09 .,-!\u00e9\u00df\u0130\u212a",
+                      max_size=24),
+              st.text(max_size=10)),
+    min_size=0, max_size=10)
+
+
+class TestPackedShingles:
+    """The packed character path against the per-gram reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(texts=_shingle_texts, size=st.integers(1, 8),
+           chunk=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+    def test_signatures_equal_reference(self, texts, size, chunk, seed):
+        records = _to_records(texts)
+        blocker = MinHashLSHBlocker(num_permutations=8, band_size=2,
+                                    shingle_size=size, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            # A tiny chunk carries the gram vocabulary across chunks.
+            patch.setattr(blocking, "_SHINGLE_CHUNK", chunk)
+            ours = blocker.signatures(records)
+        assert np.array_equal(ours, _reference_signatures(blocker, records))
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_edge_texts_every_size(self, size):
+        texts = ["", "a", "ab", "abcdefgh", "abcdefghi", "...", "!? -",
+                 "\u00e9t\u00e9", "\u212aelvin", "\u0130stanbul",
+                 "\u00df", "x y", "a", "ab"]
+        records = _to_records(texts)
+        blocker = MinHashLSHBlocker(num_permutations=16, band_size=4,
+                                    shingle_size=size, seed=size)
+        assert np.array_equal(blocker.signatures(records),
+                              _reference_signatures(blocker, records))
+
+    def test_each_distinct_gram_hashed_once(self, monkeypatch):
+        # Short texts are zero-filled past their end, so the same short
+        # gram packs to one code whatever text follows it.
+        hashed = []
+        digest = blocking._digest
+        monkeypatch.setattr(blocking, "_digest",
+                            lambda gram: hashed.append(gram) or digest(gram))
+        monkeypatch.setattr(blocking, "_SHINGLE_CHUNK", 3)
+        records = _to_records(["ab", "cd", "ab", "xyz", "ab", "cdcd"])
+        MinHashLSHBlocker(shingle_size=3).signatures(records)
+        assert sorted(hashed) == [b"ab", b"cd", b"cdc", b"dcd", b"xyz"]
+
+    def test_gram_first_seen_in_a_later_chunk(self):
+        records = generate_catalog(blocking._SHINGLE_CHUNK + 50,
+                                   seed=9).records
+        records.append(Record({"title": "qjx"}))
+        blocker = MinHashLSHBlocker(num_permutations=16, band_size=4,
+                                    seed=3)
+        first_chunk = {blocker._text(r)
+                       for r in records[:blocking._SHINGLE_CHUNK]}
+        assert not any("qjx" in text for text in first_chunk)
+        ours = blocker.signatures(records)
+        assert np.array_equal(ours, _reference_signatures(blocker, records))
+        assert not np.all(ours[-1] == _MAX)
+
+
+class TestBandFold:
+    def test_fold_collision_regroups_exactly(self, monkeypatch):
+        # With a zero multiplier every band folds to its last row, so
+        # records differing only in earlier rows collide in the key.
+        monkeypatch.setattr(blocking, "_FOLD", np.uint64(0))
+        band = np.array([[1, 2, 1, 2, 3],
+                         [5, 5, 5, 5, 5]], dtype=np.uint64)
+        grouped, sizes, buckets = blocking._buckets(band)
+        assert grouped.tolist() == [0, 2, 1, 3, 4]
+        assert sizes.tolist() == [2, 2, 1]
+        assert buckets.tolist() == [0, 1, 0, 1, 2]
+
+    def test_candidates_survive_fold_collisions(self, monkeypatch):
+        monkeypatch.setattr(blocking, "_FOLD", np.uint64(0))
+        blocker, records = _IDENTITY_CASES["char"]
+        records = records()
+        ours = [(p.index_a, p.index_b) for p in blocker.candidates(records)]
+        assert ours == _reference_candidates(blocker, records)
 
 
 _titles = st.lists(

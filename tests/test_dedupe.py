@@ -6,7 +6,11 @@ cluster artifacts across runs.  Union-find is pinned to the transitive
 closure of the edge set by an independent BFS oracle under hypothesis.
 """
 
+import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +24,13 @@ from repro.dedupe import (Catalog, DedupeConfig, DedupeResult,
                           adjusted_rand_index, catalog_noise_profile,
                           connected_components, dedupe_records,
                           generate_catalog, load_clusters, write_clusters)
+from repro.dedupe.similarity import _jaccard
 from repro.obs import MetricsRegistry
+from repro.resilience.fallback import MatchOutcome
 
 pytestmark = pytest.mark.blocking
+
+ROOT = Path(__file__).resolve().parent.parent
 
 #: The golden configuration: a gentle-noise catalog whose gold
 #: clustering the blend scorer recovers exactly at threshold 0.55
@@ -244,6 +252,17 @@ class TestSimilarityEngine:
             assert outcome.matched == (expected >= 0.4)
             assert not outcome.degraded
 
+    @settings(max_examples=200, deadline=None)
+    @given(tokens_a=st.sets(st.text(alphabet="abcd", max_size=2),
+                            max_size=8),
+           tokens_b=st.sets(st.text(alphabet="abcd", max_size=2),
+                            max_size=8))
+    def test_jaccard_equals_set_union_form(self, tokens_a, tokens_b):
+        union = len(tokens_a | tokens_b)
+        expected = len(tokens_a & tokens_b) / union if union else 0.0
+        assert _jaccard(tokens_a, tokens_b) == expected
+        assert _jaccard(tokens_b, tokens_a) == expected
+
     @pytest.mark.parametrize("scorer", ["jaccard", "blend"])
     def test_failing_entity_degrades_only_its_pairs(self, scorer):
         good = {"title": "apexon phone zx100"}
@@ -362,6 +381,62 @@ class TestDedupePipeline:
             if child.name != "score":
                 assert not child.children
 
+    def test_degraded_pairs_are_counted_and_never_unioned(self):
+        catalog = generate_catalog(200, seed=6)
+        blocker = MinHashLSHBlocker()
+        config = DedupeConfig(threshold=0.5, candidate_batch=64)
+
+        class DegradingEngine(SimilarityEngine):
+            """Degrades every fifth key of each batch to unmatched."""
+
+            def score_pairs(self, pairs, keys=None, **kwargs):
+                outcomes = super().score_pairs(pairs, keys=keys, **kwargs)
+                return [MatchOutcome(index=o.index, probability=0.0,
+                                     matched=False, degraded=True,
+                                     error="chosen")
+                        if o.index % 5 == 0 else o for o in outcomes]
+
+        registry = MetricsRegistry()
+        result = dedupe_records(catalog.records, blocker,
+                                DegradingEngine(scorer="jaccard"), config,
+                                registry=registry)
+        candidates = blocker.candidates(catalog.records)
+        chosen = [k % config.candidate_batch % 5 == 0
+                  for k in range(len(candidates))]
+        scores = SimilarityEngine(scorer="jaccard").score_pairs(
+            [(catalog.records[c.index_a], catalog.records[c.index_b])
+             for c in candidates], threshold=config.threshold)
+        kept = [(c.index_a, c.index_b)
+                for c, o, degraded in zip(candidates, scores, chosen)
+                if o.matched and not degraded]
+        dropped = sum(o.matched and degraded
+                      for o, degraded in zip(scores, chosen))
+        assert result.num_degraded == sum(chosen) > 0
+        assert (registry.snapshot()["dedupe.degraded"]["value"]
+                == sum(chosen))
+        assert result.num_matches == len(kept)
+        assert result.entity_ids == connected_components(
+            len(catalog.records), kept)
+        # The degraded pairs held matches: leaving them out must show.
+        assert dropped > 0
+        baseline = dedupe_records(catalog.records, blocker,
+                                  SimilarityEngine(scorer="jaccard"),
+                                  config, registry=MetricsRegistry())
+        assert result.entity_ids != baseline.entity_ids
+
+    def test_pinned_cluster_artifact_digest(self, tmp_path):
+        # sha256 of the write_clusters artifact, taken from the per-pair
+        # candidate stream (CandidatePair lists) and per-outcome union.
+        result = dedupe_records(generate_catalog(2000, seed=0).records,
+                                MinHashLSHBlocker(),
+                                SimilarityEngine(scorer="jaccard"),
+                                registry=MetricsRegistry())
+        path = tmp_path / "clusters.json"
+        write_clusters(path, result)
+        assert result.num_candidates == 4258
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "440b022186f01db7718578e9480d8ec02edd99ed60d4dccfc0bdf8a1d0af5eba")
+
     def test_works_with_token_blocker(self):
         catalog = generate_catalog(100, seed=6)
         result = dedupe_records(catalog.records,
@@ -430,6 +505,26 @@ class TestBenchSmoke:
         assert set(stages) == {"shingle", "signature", "band"}
         assert all(seconds > 0.0 for seconds in stages.values())
         assert sum(stages.values()) <= report["gate"]["seconds"] + 0.01
+        dedupe = report["dedupe"]
+        assert set(dedupe["stage_seconds"]) == {"block", "score",
+                                                "cluster"}
+        assert all(seconds >= 0.0
+                   for seconds in dedupe["stage_seconds"].values())
+        assert sum(dedupe["stage_seconds"].values()) <= (
+            dedupe["seconds"] + 0.01)
+        assert dedupe["peak_rss_mb"] > 0.0
+
+    def test_measure_counts_gold_like_evaluate_blocking(self):
+        from repro.data import evaluate_blocking
+        from repro.dedupe.bench import _measure
+        catalog = generate_catalog(300, seed=4)
+        blocker = MinHashLSHBlocker(num_permutations=32, band_size=2)
+        measured = _measure(blocker, catalog, candidate_batch=50)
+        quality = evaluate_blocking(blocker.candidates(catalog.records),
+                                    catalog.gold_pairs(), 300)
+        assert measured["pairs_completeness"] == round(
+            quality.pairs_completeness, 6)
+        assert measured["num_candidates"] == quality.num_candidates
 
     def test_write_report_rejects_invalid(self, tmp_path):
         from repro.dedupe.bench import write_report
@@ -456,3 +551,18 @@ class TestMatchEngineIntegration:
                                 registry=MetricsRegistry())
         assert len(result.entity_ids) == len(catalog)
         assert result.num_candidates > 0
+
+
+class TestPerfbenchContract:
+    def test_dedupe_minhash_traced_run(self):
+        # The benchmark harness proxies the blocker (list.extend of each
+        # batch) and the engine; a short traced run pins that contract.
+        run = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload",
+             "dedupe-minhash", "--seed", "1", "--seconds", "1",
+             "--trace", "1"],
+            cwd=ROOT, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr[-2000:]
+        report = json.loads(run.stdout.strip().splitlines()[-1])
+        assert report["correct"] is True
+        assert report["metrics"]["blocking.candidates"]["value"] > 0
