@@ -11,103 +11,72 @@ with registry counter increments and histogram observes:
 1. structurally — after a detector context exits, the access hook and
    lock factory slots are back to ``None``, so the off path is the
    pristine single-check fast path;
-2. empirically — the min-of-reps workload time measured after detector
-   use stays within 2% of the time measured before any detector ran;
+2. empirically — off → on → off: the paired A/B timer of
+   ``repro.perf.harness`` times the detector-off workload right after
+   an (untimed) detector-on run against the detector-off workload, and
+   the residual (median paired ratio minus one, judged on the upper end
+   of its bootstrap interval) stays under 2%;
 3. informationally — the detector-on slowdown is reported (it may be
    large; the detector is a debugging tool, not a production mode).
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.analysis.concurrency import RaceDetector
 from repro.obs import MetricsRegistry
 from repro.perf.cache import LRUCache
+from repro.perf.harness import (build_report, failed_gates, paired,
+                                write_report)
 from repro.utils.concurrency import access_hook, lock_factory
 
-from _shared import emit, run_once
+from _shared import OUT_DIR, emit, run_once
 
-_CYCLES = 7
-_REPS = 4
 _OPS = 12000
 
 
-def _make_workload():
-    def workload():
-        cache = LRUCache(maxsize=256)
-        registry = MetricsRegistry()
-        ops = registry.counter("bench.lockset.ops")
-        latency = registry.histogram("bench.lockset.latency")
-        for i in range(_OPS):
-            key = (i * 37) % 384
-            if cache.get(key) is None:
-                cache.put(key, key)
-            ops.inc()
-            latency.observe(i * 1e-6)
-        return cache.hit_rate
-
-    return workload
+def _workload():
+    cache = LRUCache(maxsize=256)
+    registry = MetricsRegistry()
+    ops = registry.counter("bench.lockset.ops")
+    latency = registry.histogram("bench.lockset.latency")
+    for i in range(_OPS):
+        key = (i * 37) % 384
+        if cache.get(key) is None:
+            cache.put(key, key)
+        ops.inc()
+        latency.observe(i * 1e-6)
+    return cache.hit_rate
 
 
-def _min_time(workload, reps: int = _REPS) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        workload()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _detected():
+    with RaceDetector():
+        return _workload()
 
 
 def test_lockset_off_overhead(benchmark):
-    workload = _make_workload()
-
     def measure():
-        # A before/after pair measured minutes apart would mostly see
-        # CPU-frequency drift, not hook overhead; instead each cycle
-        # measures off, on, off back to back, and the per-cycle
-        # residual's median cancels the drift and outlier scheduling
-        # noise alike.
-        workload()  # warm allocator and code paths before timing
-        cycles = []
-        for _ in range(_CYCLES):
-            before = _min_time(workload)
-            with RaceDetector():
-                on = _min_time(workload, reps=1)
-            after = _min_time(workload)
-            cycles.append((before, on, after))
-        return cycles
+        _workload()  # warm allocator and code paths before timing
+        return (paired(_workload, _workload, setup_b=_detected),
+                paired(_workload, _detected))
 
-    cycles = run_once(benchmark, measure)
+    residual, detector_on = run_once(benchmark, measure)
 
     # Contract 1: leaving the context clears both global hook slots, so
     # "off" is structurally the single None-check fast path.
     assert access_hook() is None
     assert lock_factory() is None
 
-    # Contract 2: the off-path residual stays under 2%.  A real
-    # residual (a leaked hook) is structural — it would slow *every*
-    # cycle — while scheduler/frequency noise is one-sided, so the
-    # best cycle is the right gate: it only passes if at least one
-    # drift-free before/after pair ran at full speed.
-    residuals = sorted(after / before - 1.0
-                       for before, _on, after in cycles)
-    residual = residuals[0]
-    median = residuals[len(residuals) // 2]
-    assert residual < 0.02, (
-        f"detector-off workload slowed down by {residual:.1%} in every "
-        f"cycle (>2%) [per-cycle residuals: "
-        f"{', '.join(f'{r:+.1%}' for r in residuals)}]")
-
-    best_off = min(before for before, _on, _after in cycles)
-    best_on = min(on for _before, on, _after in cycles)
-    text = "\n".join([
-        f"Lockset detector overhead ({_CYCLES} off/on/off cycles, "
-        f"min over {_REPS} reps of {_OPS} cache+metrics ops)",
-        f"  off (best cycle)        : {best_off * 1e3:8.2f} ms",
-        f"  off residual after use  : {residual:+.2%} "
-        f"(best cycle, budget <2%; median {median:+.2%})",
-        f"  on (race detection)     : {best_on * 1e3:8.2f} ms "
-        f"({best_on / best_off:.2f}x, informational)",
-    ])
-    emit("lockset_overhead", text)
+    report = build_report(
+        "lockset_overhead", smoke=False,
+        config={"ops": _OPS, "cycles": len(residual.ratios)},
+        gates=[residual.gate("off_residual", 0.02, "ceiling",
+                             shift=-1.0)],
+        summary=[f"Lockset detector overhead ({len(residual.ratios)} "
+                 f"paired cycles of {_OPS} cache+metrics ops)",
+                 f"  on (race detection): {detector_on.median:.2f}x "
+                 f"the off path (informational)"],
+        residual=residual.as_dict(), detector_on=detector_on.as_dict())
+    write_report(report, OUT_DIR / "lockset_overhead.json")
+    emit("lockset_overhead", "\n".join(report["summary"]))
+    # Contract 2: the off-path residual after detector use stays < 2%.
+    assert not failed_gates(report), report["summary"][-2]

@@ -2,28 +2,26 @@
 
 Request tracing (span trees, stage timings, exemplars) runs inline on
 the serving hot path, so its cost is bounded by contract: with head
-sampling enabled at the default rate (every request traced), saturation
-throughput through :class:`repro.serve.MatchService` must stay within
-3% of the same service with tracing disabled (``trace_sample_rate=0``).
+sampling enabled at the default rate (every request traced), a
+saturating drain through :class:`repro.serve.MatchService` may take at
+most 3% longer than the same drain with tracing disabled
+(``trace_sample_rate=0``).
 
-This benchmark measures both configurations on the real clock — a
-burst workload that saturates the micro-batcher so throughput reflects
-backend + per-request bookkeeping, min over several interleaved reps —
-and records the scorecard in ``BENCH_obs.json`` at the repo root.
-``--smoke`` runs a few pairs only to validate plumbing and the report
-schema (the budget is not enforced on smoke runs: too small for stable
-timing).
+Both configurations drain the same burst workload on the real clock,
+paired by the A/B timer of ``repro.perf.harness``; the gate is the
+median paired time ratio minus one, judged on the upper end of its
+bootstrap interval.  The scorecard is recorded in ``BENCH_obs.json`` at
+the repo root.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
+import statistics
 import tempfile
 from pathlib import Path
 
 from repro.obs import MetricsRegistry
+from repro.perf import harness
 from repro.serve import MatchService, MatcherBackend, ServeConfig
 from repro.serve.clock import SystemClock
 from repro.serve.sim import generate_workload, run_simulation
@@ -32,27 +30,17 @@ from _shared import emit, run_once
 
 REPORT_PATH = Path(__file__).parent.parent / "BENCH_obs.json"
 
-#: Traced saturation throughput must stay within this fraction of the
-#: untraced throughput.
+#: Traced drains may take at most this fraction longer than untraced.
 OVERHEAD_BUDGET = 0.03
 
-_REPS = 3
 #: Offered rate high enough that every request is queued immediately —
-#: the service runs back-to-back full batches and throughput measures
-#: scoring plus per-request bookkeeping, not arrival pacing.
+#: the service runs back-to-back full batches and the drain time
+#: measures scoring plus per-request bookkeeping, not arrival pacing.
 _SATURATION_RATE = 1e6
 
 
-def _build_matcher(num_pairs: int, seed: int, zoo_dir):
-    from repro.perf.bench import _build_workload, _fit_matcher
-    splits, pairs = _build_workload(num_pairs, seed)
-    matcher = _fit_matcher("bert", splits, seed, zoo_dir)
-    matcher.match_many(pairs[:8], fast=True)  # warm token cache
-    return matcher, pairs
-
-
-def _pairs_per_sec(matcher, pairs, sample_rate: float, seed: int,
-                   batch_size: int) -> float:
+def _drain(matcher, pairs, sample_rate: float, seed: int,
+           batch_size: int):
     workload = generate_workload(pairs, num_requests=len(pairs),
                                  rate=_SATURATION_RATE, seed=seed,
                                  pattern="poisson")
@@ -68,133 +56,38 @@ def _pairs_per_sec(matcher, pairs, sample_rate: float, seed: int,
         raise AssertionError(
             f"saturation run dropped requests: {report.completed}"
             f"/{len(pairs)} completed")
-    return report.throughput
-
-
-def _measure(matcher, pairs, seed: int, batch_size: int,
-             reps: int = _REPS) -> tuple[float, float]:
-    """Min-throughput is noise-prone, so take the *best* of ``reps``
-    interleaved runs per configuration (best-of filters scheduler
-    hiccups; interleaving keeps thermal/cache drift symmetric)."""
-    best_off = best_on = 0.0
-    for rep in range(reps):
-        best_off = max(best_off, _pairs_per_sec(
-            matcher, pairs, 0.0, seed + rep, batch_size))
-        best_on = max(best_on, _pairs_per_sec(
-            matcher, pairs, 1.0, seed + rep, batch_size))
-    return best_off, best_on
-
-
-def run_obs_benchmark(num_pairs: int = 200, seed: int = 0,
-                      zoo_dir=None, batch_size: int = 32,
-                      smoke: bool = False) -> dict:
-    """Run the tracing-overhead benchmark and return the report dict."""
-    if smoke:
-        num_pairs = min(num_pairs, 24)
-    matcher, pairs = _build_matcher(num_pairs, seed, zoo_dir)
-    untraced, traced = _measure(matcher, pairs, seed, batch_size)
-    regression = 1.0 - traced / max(untraced, 1e-9)
-    return {
-        "benchmark": "obs_overhead",
-        "smoke": bool(smoke),
-        "config": {"arch": "bert", "pairs": num_pairs, "seed": seed,
-                   "batch_size": batch_size, "reps": _REPS},
-        "untraced_pairs_per_sec": untraced,
-        "traced_pairs_per_sec": traced,
-        "acceptance": {
-            "regression": regression,
-            "budget": OVERHEAD_BUDGET,
-            "enforced": not smoke,
-            "passed": bool(smoke or regression <= OVERHEAD_BUDGET),
-        },
-    }
-
-
-def validate_obs_report(report: dict) -> list[str]:
-    """Schema check; returns a list of problems (empty = valid)."""
-    problems = []
-    for key in ("benchmark", "smoke", "config", "untraced_pairs_per_sec",
-                "traced_pairs_per_sec", "acceptance"):
-        if key not in report:
-            problems.append(f"missing key {key!r}")
-    acceptance = report.get("acceptance", {})
-    for key in ("regression", "budget", "enforced", "passed"):
-        if key not in acceptance:
-            problems.append(f"acceptance missing key {key!r}")
-    for key in ("untraced_pairs_per_sec", "traced_pairs_per_sec"):
-        value = report.get(key)
-        if isinstance(value, (int, float)) and value <= 0:
-            problems.append(f"{key} must be positive, got {value}")
-    return problems
-
-
-def _format_report(report: dict) -> str:
-    config = report["config"]
-    acc = report["acceptance"]
-    return "\n".join([
-        f"tracing overhead at saturation ({config['arch']}, "
-        f"{config['pairs']} pairs, batch size {config['batch_size']}, "
-        f"best of {config['reps']} reps"
-        f"{', smoke' if report['smoke'] else ''})",
-        f"  trace_sample_rate=0.0 : "
-        f"{report['untraced_pairs_per_sec']:8.1f} pairs/s",
-        f"  trace_sample_rate=1.0 : "
-        f"{report['traced_pairs_per_sec']:8.1f} pairs/s",
-        f"  acceptance: regression {acc['regression']:+.2%} vs "
-        f"{acc['budget']:.0%} budget -> "
-        f"{'pass' if acc['passed'] else 'FAIL'}"
-        f"{'' if acc['enforced'] else ' (not enforced: smoke)'}",
-    ])
-
-
-def _run(smoke: bool, pairs: int, write, zoo_dir=None) -> dict:
-    if zoo_dir is not None:
-        report = run_obs_benchmark(num_pairs=pairs, smoke=smoke,
-                                   zoo_dir=zoo_dir)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            report = run_obs_benchmark(num_pairs=pairs, smoke=smoke,
-                                       zoo_dir=Path(tmp) / "zoo")
-    problems = validate_obs_report(report)
-    if problems:
-        raise AssertionError(f"invalid BENCH_obs report: {problems}")
-    if write:
-        path = Path(write if write is not True else REPORT_PATH)
-        path.write_text(json.dumps(report, indent=2, sort_keys=True)
-                        + "\n")
     return report
 
 
+def run_obs_benchmark(num_pairs: int = 200, seed: int = 0,
+                      zoo_dir=None, batch_size: int = 32) -> dict:
+    """Run the tracing-overhead benchmark and return the report dict."""
+    splits, pairs = harness.build_workload(num_pairs, seed)
+    matcher = harness.fit_matcher("bert", splits, seed, zoo_dir)
+    matcher.match_many(pairs[:8], fast=True)  # warm the token cache
+    timing = harness.paired(
+        lambda: _drain(matcher, pairs, 0.0, seed, batch_size),
+        lambda: _drain(matcher, pairs, 1.0, seed, batch_size))
+    untraced, traced = (num_pairs / statistics.median(seconds)
+                        for seconds in (timing.a_seconds, timing.b_seconds))
+    return harness.build_report(
+        "obs_overhead", smoke=False,
+        config={"arch": "bert", "pairs": num_pairs, "seed": seed,
+                "batch_size": batch_size, "cycles": len(timing.ratios)},
+        gates=[timing.gate("overhead_fraction", OVERHEAD_BUDGET,
+                           "ceiling", shift=-1.0)],
+        summary=[f"tracing overhead at saturation (bert, {num_pairs} "
+                 f"pairs, batch size {batch_size}, "
+                 f"{len(timing.ratios)} paired cycles)",
+                 f"  trace_sample_rate=0.0 : {untraced:8.1f} pairs/s",
+                 f"  trace_sample_rate=1.0 : {traced:8.1f} pairs/s"],
+        timing=timing.as_dict())
+
+
 def test_obs_overhead(benchmark):
-    report = run_once(benchmark, lambda: _run(smoke=False, pairs=200,
-                                              write=True))
-    emit("obs_overhead", _format_report(report))
-    assert report["acceptance"]["regression"] <= OVERHEAD_BUDGET
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="request-tracing overhead on the serving hot path")
-    parser.add_argument("--smoke", action="store_true",
-                        help="few pairs, schema check only (CI)")
-    parser.add_argument("--pairs", type=int, default=200)
-    parser.add_argument("--zoo-dir", default=None,
-                        help="model-zoo cache directory (default: a "
-                             "throwaway temp dir)")
-    parser.add_argument("--output", default=None,
-                        help=f"report path (default: {REPORT_PATH})")
-    parser.add_argument("--no-write", dest="write", action="store_false",
-                        help="skip writing the report")
-    args = parser.parse_args(argv)
-    write = (args.output or True) if args.write else False
-    report = _run(smoke=args.smoke, pairs=args.pairs, write=write,
-                  zoo_dir=args.zoo_dir)
-    print(_format_report(report))
-    if args.write:
-        print(f"report written to {args.output or REPORT_PATH}")
-    acc = report["acceptance"]
-    return 0 if (acc["passed"] or not acc["enforced"]) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    with tempfile.TemporaryDirectory() as tmp:
+        report = run_once(benchmark, lambda: run_obs_benchmark(
+            zoo_dir=Path(tmp) / "zoo"))
+    harness.write_report(report, REPORT_PATH)
+    emit("obs_overhead", "\n".join(report["summary"]))
+    assert not harness.failed_gates(report), report["summary"][-2]

@@ -6,35 +6,31 @@ beyond a handful of ``is None`` tests.  This benchmark guards that
 contract on a complete miniature fine-tune run (2 epochs on a reduced
 dblp-acm split with a 2-layer BERT):
 
-1. empirically — the min-of-reps run time with ``resilience=None``
-   stays within 2% of the same build measured before the resilience
-   module was ever exercised;
+1. empirically — off → on → off: the paired A/B timer of
+   ``repro.perf.harness`` times a ``resilience=None`` run right after
+   an (untimed) armed run against a plain ``resilience=None`` run, and
+   the residual (median paired ratio minus one, judged on the upper end
+   of its bootstrap interval) stays under 2%;
 2. informationally — the fully armed configuration (checkpoints every
-   few steps + divergence guard) is timed and reported, it is allowed
-   to cost more (it does real I/O).
+   few steps + divergence guard) is timed against the plain run and
+   reported; it is allowed to cost more (it does real I/O).
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.data import load_benchmark, split_dataset
 from repro.matching import FineTuneConfig, fine_tune
-from repro.pretraining import ZooSettings, get_pretrained
+from repro.perf.harness import (build_report, failed_gates, paired,
+                                tiny_settings, write_report)
+from repro.pretraining import get_pretrained
 from repro.resilience import ResilienceConfig
 from repro.utils import child_rng
 
-from _shared import emit, run_once
-
-_REPS = 3
+from _shared import OUT_DIR, emit, run_once
 
 
 def _make_run(tmp_dir):
-    settings = ZooSettings(base_steps=25, base_examples=150,
-                           tokenizer_sentences=150, vocab_size=220,
-                           d_model=32, num_layers=2, num_heads=2,
-                           max_position=64, seq_len=32)
-    pretrained = get_pretrained("bert", seed=0, settings=settings,
+    pretrained = get_pretrained("bert", seed=0, settings=tiny_settings(),
                                 zoo_dir=tmp_dir / "zoo")
     data = load_benchmark("dblp-acm", seed=7, scale=0.03)
     splits = split_dataset(data, child_rng(7, "split", "dblp-acm"))
@@ -47,41 +43,28 @@ def _make_run(tmp_dir):
     return run
 
 
-def _min_run_time(run, reps: int = _REPS, **kwargs) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        run(**kwargs)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_resilience_off_overhead(benchmark, tmp_path):
     run = _make_run(tmp_path)
+    armed = ResilienceConfig(checkpoint_dir=tmp_path / "ck",
+                             checkpoint_every=5)
 
     def measure():
-        baseline = _min_run_time(run)
-        armed = ResilienceConfig(checkpoint_dir=tmp_path / "ck",
-                                 checkpoint_every=5)
-        on = _min_run_time(run, reps=1, resilience=armed)
-        off = _min_run_time(run)
-        return baseline, on, off
+        run()  # warm allocator and code paths before timing
+        return (paired(run, run, setup_b=lambda: run(resilience=armed)),
+                paired(run, lambda: run(resilience=armed)))
 
-    baseline, on, off = run_once(benchmark, measure)
-
-    # Contract: with resilience=None the loop takes its original fast
-    # path — the residual after exercising the armed path stays under 2%.
-    residual = off / baseline - 1.0
-    assert residual < 0.02, (
-        f"resilience-off fine-tune slowed down by {residual:.1%} (>2%)")
-
-    text = "\n".join([
-        f"Resilience overhead (min over {_REPS} reps of a 2-epoch "
-        f"fine-tune)",
-        f"  resilience=None, baseline : {baseline:8.2f} s",
-        f"  resilience=None, after    : {off:8.2f} s "
-        f"(residual {residual:+.2%}, budget <2%)",
-        f"  armed (ckpt every 5 + guard): {on:8.2f} s "
-        f"({on / baseline:.2f}x, informational)",
-    ])
-    emit("resilience_overhead", text)
+    residual, armed_run = run_once(benchmark, measure)
+    report = build_report(
+        "resilience_overhead", smoke=False,
+        config={"epochs": 2, "cycles": len(residual.ratios)},
+        gates=[residual.gate("off_residual", 0.02, "ceiling",
+                             shift=-1.0)],
+        summary=[f"Resilience overhead ({len(residual.ratios)} paired "
+                 f"cycles of a 2-epoch fine-tune)",
+                 f"  armed (ckpt every 5 + guard): "
+                 f"{armed_run.median:.2f}x the resilience=None run "
+                 f"(informational)"],
+        residual=residual.as_dict(), armed=armed_run.as_dict())
+    write_report(report, OUT_DIR / "resilience_overhead.json")
+    emit("resilience_overhead", "\n".join(report["summary"]))
+    assert not failed_gates(report), report["summary"][-2]

@@ -3,33 +3,38 @@
 ``repro.analysis.detect_anomalies`` hooks ``Tensor._make`` and
 ``Tensor.backward`` only while its context is active, so a training loop
 that never enters the context must run on the pristine fast path.  This
-benchmark guards that contract on a small fine-tune step (forward +
+benchmark guards that contract on small fine-tune steps (forward +
 cross-entropy + backward + Adam step on a 2-layer BERT classifier):
 
 1. structurally — after a sanitized step the hooks are restored to the
    exact original function objects, so the off path is byte-identical;
-2. empirically — the min-of-reps step time measured after sanitizer use
-   stays within 2% of the time measured before any sanitizer ran;
+2. empirically — off → on → off: the paired A/B timer of
+   ``repro.perf.harness`` times a block of steps right after an
+   (untimed) sanitized block against a block of plain steps, and the
+   residual (median paired ratio minus one, judged on the upper end of
+   its bootstrap interval) stays under 2%;
 3. informationally — the sanitizer-on slowdown is reported (it is
    allowed to be large; anomaly mode is a debugging tool).
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.analysis import detect_anomalies
 from repro.models import SequenceClassifier, build_backbone, default_config
 from repro.nn import Adam, Tensor, cross_entropy
+from repro.perf.harness import (build_report, failed_gates, paired,
+                                write_report)
 
-from _shared import emit, run_once
+from _shared import OUT_DIR, emit, run_once
 
-_REPS = 20
+#: Steps per timed side: one step takes milliseconds, too short to
+#: resolve a 2% budget against scheduler noise.
+_STEPS = 20
 
 
-def _make_step():
+def _make_steps():
     rng = np.random.default_rng(0)
     config = default_config("bert", vocab_size=120, d_model=32,
                             num_layers=2, num_heads=2, max_position=64,
@@ -39,58 +44,51 @@ def _make_step():
     input_ids = rng.integers(0, config.vocab_size, size=(4, 16))
     labels = rng.integers(0, 2, size=4)
 
-    def step():
-        optimizer.zero_grad()
-        loss = cross_entropy(model(input_ids), labels)
-        loss.backward()
-        optimizer.step()
+    def steps():
+        for _ in range(_STEPS):
+            optimizer.zero_grad()
+            loss = cross_entropy(model(input_ids), labels)
+            loss.backward()
+            optimizer.step()
         return float(loss.item())
 
-    return model, step
+    def sanitized():
+        # No parameters= audit here: the bench model legitimately leaves
+        # its match-feature weights unused (no match_features input).
+        with detect_anomalies(check_dead_leaves=False):
+            return steps()
 
-
-def _min_step_time(step, reps: int = _REPS) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        step()
-        best = min(best, time.perf_counter() - start)
-    return best
+    return steps, sanitized
 
 
 def test_sanitizer_off_overhead(benchmark):
-    _, step = _make_step()
+    steps, sanitized = _make_steps()
     pristine_make = Tensor._make
     pristine_backward = Tensor.backward
 
     def measure():
-        before = _min_step_time(step)
-        # No parameters= audit here: the bench model legitimately leaves
-        # its match-feature weights unused (no match_features input).
-        with detect_anomalies(check_dead_leaves=False):
-            on = _min_step_time(step, reps=3)
-        after = _min_step_time(step)
-        return before, on, after
+        steps()  # warm allocator and code paths before timing
+        return (paired(steps, steps, setup_b=sanitized),
+                paired(steps, sanitized))
 
-    before, on, after = run_once(benchmark, measure)
+    residual, sanitizer_on = run_once(benchmark, measure)
 
     # Contract 1: leaving the context restores the exact fast-path
     # functions, so "off" is structurally zero-overhead.
     assert Tensor._make is pristine_make
     assert Tensor.backward is pristine_backward
 
-    # Contract 2: the measured off-path residual stays under 2%.
-    residual = after / before - 1.0
-    assert residual < 0.02, (
-        f"sanitizer-off step slowed down by {residual:.1%} (>2%)")
-
-    text = "\n".join([
-        "Sanitizer overhead (min over "
-        f"{_REPS} reps of one fine-tune step)",
-        f"  off, before anomaly mode : {before * 1e3:8.2f} ms",
-        f"  off, after anomaly mode  : {after * 1e3:8.2f} ms "
-        f"(residual {residual:+.2%}, budget <2%)",
-        f"  on (debug anomaly mode)  : {on * 1e3:8.2f} ms "
-        f"({on / before:.2f}x, informational)",
-    ])
-    emit("sanitizer_overhead", text)
+    report = build_report(
+        "sanitizer_overhead", smoke=False,
+        config={"steps": _STEPS, "cycles": len(residual.ratios)},
+        gates=[residual.gate("off_residual", 0.02, "ceiling",
+                             shift=-1.0)],
+        summary=[f"Sanitizer overhead ({len(residual.ratios)} paired "
+                 f"cycles of {_STEPS} fine-tune steps)",
+                 f"  on (debug anomaly mode): {sanitizer_on.median:.2f}x "
+                 f"the off path (informational)"],
+        residual=residual.as_dict(), sanitizer_on=sanitizer_on.as_dict())
+    write_report(report, OUT_DIR / "sanitizer_overhead.json")
+    emit("sanitizer_overhead", "\n".join(report["summary"]))
+    # Contract 2: the off-path residual after anomaly mode stays < 2%.
+    assert not failed_gates(report), report["summary"][-2]

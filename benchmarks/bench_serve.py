@@ -6,109 +6,31 @@ load levels (0.5x / 1x / 2x the measured serial ``match_many``
 throughput) and reports per-level completion counts, throughput and
 p50/p95 request latency against the serial baseline.
 
-The acceptance floor (service throughput at the top load level >= half
-the serial pairs/sec — coalescing overhead must not eat the batching
-win) is enforced on full runs and recorded in ``BENCH_serve.json`` at
-the repo root; ``--smoke`` runs a few pairs only to validate plumbing
-and the report schema.
+The acceptance floor — service throughput at the top load level >=
+half the serial pairs/sec, from the paired A/B timer's median ratio
+judged on the lower end of its bootstrap interval (coalescing overhead
+must not eat the batching win) — is recorded in ``BENCH_serve.json`` at
+the repo root; ``python -m repro bench serve`` is the command-line
+entry point.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 import tempfile
 from pathlib import Path
 
-from repro.serve import (run_serve_benchmark, validate_serve_report,
-                         write_serve_report)
-from repro.serve.bench import EFFICIENCY_FLOOR
+from repro.perf.harness import failed_gates, write_report
+from repro.serve.bench import run_serve_benchmark
 
 from _shared import emit, run_once
 
 REPORT_PATH = Path(__file__).parent.parent / "BENCH_serve.json"
 
 
-def _format_report(report: dict) -> str:
-    config = report["config"]
-    baseline = report["baseline"]
-    lines = [f"match service under load ({config['arch']}, "
-             f"{config['pairs']} pairs, batch size "
-             f"{config['batch_size']}, flush {config['max_wait_ms']} ms"
-             f"{', smoke' if report['smoke'] else ''})",
-             f"  serial baseline: {baseline['pairs_per_sec']:8.1f} "
-             f"pairs/s"]
-    for name, level in report["levels"].items():
-        lines.append(
-            f"  {name:<5} load {level['offered_rate']:8.1f} req/s: "
-            f"{level['completed']}/{level['offered']} done at "
-            f"{level['throughput']:8.1f} req/s, "
-            f"p50 {level['p50_latency_ms']:7.1f} ms, "
-            f"p95 {level['p95_latency_ms']:7.1f} ms, "
-            f"{level['rejected']} rejected, "
-            f"{level['timeouts']} timed out")
-    acc = report["acceptance"]
-    lines.append(f"  acceptance: efficiency "
-                 f"{acc['efficiency_at_top_load']:.2f} vs "
-                 f"{acc['floor']} floor -> "
-                 f"{'pass' if acc['passed'] else 'FAIL'}"
-                 f"{'' if acc['enforced'] else ' (not enforced: smoke)'}")
-    return "\n".join(lines)
-
-
-def _run(smoke: bool, pairs: int, write, arch: str = "bert",
-         zoo_dir=None) -> dict:
-    if zoo_dir is not None:
-        report = run_serve_benchmark(arch=arch, num_pairs=pairs,
-                                     smoke=smoke, zoo_dir=zoo_dir)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            report = run_serve_benchmark(arch=arch, num_pairs=pairs,
-                                         smoke=smoke,
-                                         zoo_dir=Path(tmp) / "zoo")
-    problems = validate_serve_report(report)
-    if problems:
-        raise AssertionError(f"invalid BENCH_serve report: {problems}")
-    if write:
-        write_serve_report(report,
-                           write if write is not True else REPORT_PATH)
-    return report
-
-
 def test_serve_throughput(benchmark):
-    report = run_once(benchmark, lambda: _run(smoke=False, pairs=200,
-                                              write=True))
-    emit("serve", _format_report(report))
-    assert report["acceptance"]["efficiency_at_top_load"] \
-        >= EFFICIENCY_FLOOR
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="micro-batching match service vs. serial matching")
-    parser.add_argument("--smoke", action="store_true",
-                        help="few pairs, schema check only (CI)")
-    parser.add_argument("--pairs", type=int, default=200)
-    parser.add_argument("--arch", default="bert",
-                        choices=["bert", "roberta", "distilbert",
-                                 "xlnet"])
-    parser.add_argument("--zoo-dir", default=None,
-                        help="model-zoo cache directory (default: a "
-                             "throwaway temp dir)")
-    parser.add_argument("--output", default=None,
-                        help=f"report path (default: {REPORT_PATH})")
-    parser.add_argument("--no-write", dest="write", action="store_false",
-                        help="skip writing the report")
-    args = parser.parse_args(argv)
-    write = (args.output or True) if args.write else False
-    report = _run(smoke=args.smoke, pairs=args.pairs, write=write,
-                  arch=args.arch, zoo_dir=args.zoo_dir)
-    print(_format_report(report))
-    if args.write:
-        print(f"report written to {args.output or REPORT_PATH}")
-    acc = report["acceptance"]
-    return 0 if (acc["passed"] or not acc["enforced"]) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    with tempfile.TemporaryDirectory() as tmp:
+        report = run_once(benchmark, lambda: run_serve_benchmark(
+            zoo_dir=Path(tmp) / "zoo"))
+    write_report(report, REPORT_PATH)
+    emit("serve", "\n".join(report["summary"]))
+    assert not failed_gates(report), failed_gates(report)

@@ -315,16 +315,14 @@ class _LoopClosureLateBinding(LintRule):
                 f"(late binding)")
 
 
-class _InferenceMissingNoGrad(LintRule):
-    """Inference entry points must run under ``no_grad`` or every forward
-    pass records a backward tape it never frees."""
+class _TapeOffRule(LintRule):
+    """Shared pass of RA104/RA110: functions whose name matches
+    ``_PATTERN`` must disable the tape, directly or by delegating to a
+    matching function that does (``predict()`` calling an ``_infer()``
+    that runs under ``no_grad`` is fine).  Subclasses set the name
+    pattern and report an unsafe candidate through ``_flag``."""
 
-    id = "RA104"
-    name = "inference-missing-no-grad"
-    hint = "wrap the forward passes in `with no_grad():` or decorate " \
-           "with @no_grad()"
-
-    _PATTERN = re.compile(r"predict|proba|infer", re.IGNORECASE)
+    _PATTERN: re.Pattern
 
     def check(self, module: SourceModule) -> Iterator[Violation]:
         if not module.imports_nn() or module.in_package("repro.nn"):
@@ -335,49 +333,64 @@ class _InferenceMissingNoGrad(LintRule):
                     and self._PATTERN.search(node.name)
                     and not node.name.startswith("__")):
                 candidates[node.name] = node
-        safe = set()
-        for name, node in candidates.items():
-            if self._uses_no_grad(node):
-                safe.add(name)
-        # Delegation closure: predict() calling _proba() is fine if
-        # _proba() itself runs under no_grad.
+        safe = {name for name, node in candidates.items()
+                if _disables_tape(node)}
         changed = True
         while changed:
             changed = False
             for name, node in candidates.items():
-                if name in safe:
-                    continue
-                if any(callee in safe
-                       for callee in self._called_names(node)):
+                if name not in safe and not _called_names(node).isdisjoint(
+                        safe):
                     safe.add(name)
                     changed = True
         for name, node in candidates.items():
             if name not in safe:
-                yield self.violation(
-                    module, node,
-                    f"{name}() looks like an inference path but never "
-                    f"disables the tape — every call records backward "
-                    f"closures that are never freed")
+                yield from self._flag(module, name, node)
 
-    @staticmethod
-    def _uses_no_grad(func: ast.AST) -> bool:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Name) and node.id == "no_grad":
-                return True
-            if isinstance(node, ast.Attribute) and node.attr == "no_grad":
-                return True
-        return False
+    def _flag(self, module: SourceModule, name: str,
+              func: ast.AST) -> Iterator[Violation]:
+        raise NotImplementedError
 
-    @staticmethod
-    def _called_names(func: ast.AST) -> set[str]:
-        names = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call):
-                if isinstance(node.func, ast.Name):
-                    names.add(node.func.id)
-                elif isinstance(node.func, ast.Attribute):
-                    names.add(node.func.attr)
-        return names
+
+def _disables_tape(func: ast.AST) -> bool:
+    """Whether ``func`` mentions ``no_grad`` (call, decorator or with)."""
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and node.id == "no_grad":
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "no_grad":
+            return True
+    return False
+
+
+def _called_names(func: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                names.add(node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                names.add(node.func.attr)
+    return names
+
+
+class _InferenceMissingNoGrad(_TapeOffRule):
+    """Inference entry points must run under ``no_grad`` or every forward
+    pass records a backward tape it never frees."""
+
+    id = "RA104"
+    name = "inference-missing-no-grad"
+    hint = "wrap the forward passes in `with no_grad():` or decorate " \
+           "with @no_grad()"
+
+    _PATTERN = re.compile(r"predict|proba|infer", re.IGNORECASE)
+
+    def _flag(self, module: SourceModule, name: str,
+              func: ast.AST) -> Iterator[Violation]:
+        yield self.violation(
+            module, func,
+            f"{name}() looks like an inference path but never "
+            f"disables the tape — every call records backward "
+            f"closures that are never freed")
 
 
 class _UnregisteredParameterTensor(LintRule):
@@ -631,7 +644,7 @@ class _NonAtomicArtifactWrite(LintRule):
                 yield node
 
 
-class _ForwardOutsideNoGrad(LintRule):
+class _ForwardOutsideNoGrad(_TapeOffRule):
     """Batch-inference drivers (match loops, eval sweeps, benchmarks)
     that call a model forward directly with the tape enabled record a
     backward closure per op per pair, graph memory included, that no
@@ -648,60 +661,22 @@ class _ForwardOutsideNoGrad(LintRule):
     _MODEL_NAMES = frozenset(
         {"classifier", "model", "backbone", "encoder", "network"})
 
-    def check(self, module: SourceModule) -> Iterator[Violation]:
-        if not module.imports_nn() or module.in_package("repro.nn"):
-            return
-        candidates: dict[str, ast.FunctionDef] = {}
-        for node in ast.walk(module.tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and self._PATTERN.search(node.name)
-                    and not node.name.startswith("__")):
-                candidates[node.name] = node
-        safe = {name for name, node in candidates.items()
-                if self._disables_tape(node)}
-        # Delegation closure, like RA104: match_many() dispatching to a
-        # _match_many_fast() that runs under no_grad is fine.
-        changed = True
-        while changed:
-            changed = False
-            for name, node in candidates.items():
-                if name in safe:
-                    continue
-                callees = _InferenceMissingNoGrad._called_names(node)
-                if any(callee in safe for callee in callees):
-                    safe.add(name)
-                    changed = True
-        for name, node in candidates.items():
-            if name in safe:
-                continue
-            for call in self._forward_calls(node):
-                yield self.violation(
-                    module, call,
-                    f"{name}() drives a model forward with the tape "
-                    f"enabled — each pair records backward closures "
-                    f"nothing will walk")
-
-    @staticmethod
-    def _disables_tape(func: ast.AST) -> bool:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Name) and node.id == "no_grad":
-                return True
-            if isinstance(node, ast.Attribute) and node.attr == "no_grad":
-                return True
-        return False
-
-    def _forward_calls(self, func: ast.AST) -> Iterator[ast.Call]:
+    def _flag(self, module: SourceModule, name: str,
+              func: ast.AST) -> Iterator[Violation]:
         for node in ast.walk(func):
             if not isinstance(node, ast.Call):
                 continue
             callee = node.func
-            if isinstance(callee, ast.Attribute):
-                if (callee.attr == "forward"
-                        or callee.attr in self._MODEL_NAMES):
-                    yield node
-            elif (isinstance(callee, ast.Name)
-                  and callee.id in self._MODEL_NAMES):
-                yield node
+            if (isinstance(callee, ast.Attribute)
+                    and (callee.attr == "forward"
+                         or callee.attr in self._MODEL_NAMES)) or (
+                    isinstance(callee, ast.Name)
+                    and callee.id in self._MODEL_NAMES):
+                yield self.violation(
+                    module, node,
+                    f"{name}() drives a model forward with the tape "
+                    f"enabled — each pair records backward closures "
+                    f"nothing will walk")
 
 
 class _BlockingSleepInServe(LintRule):

@@ -61,9 +61,8 @@ Commands
     chaos-off overhead, writing ``BENCH_resilient.json``;
     ``bench blocking`` measures blocking recall vs. reduction on
     generated catalogs under an enforced 100k-scale gate, writing
-    ``BENCH_blocking.json``.
-``serve-bench``
-    Shorthand for ``bench serve``.
+    ``BENCH_blocking.json``.  Every suite writes through
+    :mod:`repro.perf.harness` and prints the report's summary.
 """
 
 from __future__ import annotations
@@ -259,54 +258,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="clusters.json",
                    help="cluster artifact path (default clusters.json)")
 
-    for name in ("bench", "serve-bench"):
-        if name == "bench":
-            p = sub.add_parser("bench", help="run a benchmark suite")
-            p.add_argument("suite",
-                           choices=["perf", "serve", "resilient",
-                                    "blocking"],
-                           help="perf: serial vs. fast match_many "
-                                "throughput; serve: micro-batching "
-                                "service throughput/latency under load; "
-                                "resilient: availability under seeded "
-                                "chaos plus the fault-tolerance tier's "
-                                "chaos-off overhead; blocking: recall "
-                                "vs. reduction of the blocker family on "
-                                "generated catalogs")
-        else:
-            p = sub.add_parser(
-                "serve-bench",
-                help="shorthand for `bench serve`: micro-batching "
-                     "service load benchmark")
-            p.set_defaults(suite="serve")
-        p.add_argument("--smoke", action="store_true",
-                       help="few pairs, no acceptance enforcement (CI)")
-        p.add_argument("--pairs", type=int, default=200,
-                       help="number of record pairs to match (default 200)")
-        p.add_argument("--batch-size", type=int, default=None,
-                       help="inference batch size (default: 64 for the "
-                            "perf suite, 32 otherwise)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="workload seed (default: 7 for the blocking "
-                            "suite, 0 otherwise)")
-        p.add_argument("--arch", default="bert",
-                       choices=["bert", "roberta", "distilbert", "xlnet"],
-                       help="architecture for the serve suite "
-                            "(default bert; perf benches all four)")
-        p.add_argument("--max-wait-ms", type=float, default=10.0,
-                       help="serve suite: micro-batcher flush horizon "
-                            "(default 10 ms)")
-        p.add_argument("--requests", type=int, default=1000,
-                       help="resilient suite: chaos-phase request count "
-                            "(default 1000)")
-        p.add_argument("--records", type=int, default=100_000,
-                       help="blocking suite: gate-scale catalog size "
-                            "(default 100000)")
-        p.add_argument("--output", default=None,
-                       help="report path (default: BENCH_<suite>.json)")
-        p.add_argument("--zoo-dir", default=None,
-                       help="model-zoo cache directory (default: "
-                            "REPRO_ZOO_DIR or ~/.cache/repro/zoo)")
+    p = sub.add_parser("bench", help="run a benchmark suite")
+    p.add_argument("suite", choices=["perf", "serve", "resilient",
+                                      "blocking"],
+                   help="perf: serial vs. fast match_many throughput; "
+                        "serve: micro-batching service throughput/latency "
+                        "under load; resilient: availability under seeded "
+                        "chaos plus the fault-tolerance tier's chaos-off "
+                        "overhead; blocking: recall vs. reduction of the "
+                        "blocker family on generated catalogs")
+    p.add_argument("--smoke", action="store_true",
+                   help="few pairs, no acceptance enforcement (CI)")
+    p.add_argument("--pairs", type=int, default=200,
+                   help="number of record pairs to match (default 200)")
+    p.add_argument("--batch-size", type=int, default=None,
+                   help="inference batch size (default: 64 for the "
+                        "perf suite, 32 otherwise)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="workload seed (default: 7 for the blocking "
+                        "suite, 0 otherwise)")
+    p.add_argument("--arch", default=None,
+                   choices=["bert", "roberta", "distilbert", "xlnet"],
+                   help="architecture (default: all four for perf, bert "
+                        "for serve and resilient)")
+    p.add_argument("--max-wait-ms", type=float, default=10.0,
+                   help="serve suites: micro-batcher flush horizon "
+                        "(default 10 ms)")
+    p.add_argument("--requests", type=int, default=1000,
+                   help="resilient suite: chaos-phase request count "
+                        "(default 1000)")
+    p.add_argument("--records", type=int, default=100_000,
+                   help="blocking suite: gate-scale catalog size "
+                        "(default 100000)")
+    p.add_argument("--output", default=None,
+                   help="report path (default: BENCH_<suite>.json)")
+    p.add_argument("--zoo-dir", default=None,
+                   help="model-zoo cache directory (default: "
+                        "REPRO_ZOO_DIR or ~/.cache/repro/zoo)")
 
     return parser
 
@@ -641,88 +629,6 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-def _cmd_bench_serve(args) -> int:
-    from .serve import (run_serve_benchmark, validate_serve_report,
-                        write_serve_report)
-    from .serve.bench import EFFICIENCY_FLOOR
-    report = run_serve_benchmark(arch=args.arch, num_pairs=args.pairs,
-                                 seed=args.seed, zoo_dir=args.zoo_dir,
-                                 batch_size=args.batch_size,
-                                 max_wait_ms=args.max_wait_ms,
-                                 smoke=args.smoke)
-    problems = validate_serve_report(report)
-    if problems:
-        for problem in problems:
-            print(f"error: invalid report: {problem}", file=sys.stderr)
-        return 2
-    path = write_serve_report(report,
-                              args.output or "BENCH_serve.json")
-    baseline = report["baseline"]
-    print(f"serial baseline: {baseline['pairs_per_sec']:.1f} pairs/sec")
-    for name, level in report["levels"].items():
-        print(f"{name} load: {level['completed']}/{level['offered']} "
-              f"completed at {level['throughput']:.1f} req/sec "
-              f"(p50 {level['p50_latency_ms']:.1f} ms, "
-              f"p95 {level['p95_latency_ms']:.1f} ms, "
-              f"{level['rejected']} rejected, "
-              f"{level['timeouts']} timed out)")
-    acceptance = report["acceptance"]
-    print(f"report written to {path}")
-    if acceptance["enforced"] and not acceptance["passed"]:
-        print(f"error: serving efficiency "
-              f"{acceptance['efficiency_at_top_load']:.2f} below the "
-              f"{EFFICIENCY_FLOOR} acceptance floor", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_resilient(args) -> int:
-    from .serve import (run_resilient_benchmark, validate_resilient_report,
-                        write_resilient_report)
-    report = run_resilient_benchmark(arch=args.arch, num_pairs=args.pairs,
-                                     seed=args.seed, zoo_dir=args.zoo_dir,
-                                     batch_size=args.batch_size,
-                                     max_wait_ms=args.max_wait_ms,
-                                     num_requests=args.requests,
-                                     smoke=args.smoke)
-    problems = validate_resilient_report(report)
-    if problems:
-        for problem in problems:
-            print(f"error: invalid report: {problem}", file=sys.stderr)
-        return 2
-    path = write_resilient_report(report,
-                                  args.output or "BENCH_resilient.json")
-    overhead = report["overhead"]
-    chaos = report["chaos"]
-    print(f"chaos-off overhead: "
-          f"{overhead['overhead_fraction'] * 100.0:.2f}% "
-          f"(best of {overhead['cycles']} cycles, "
-          f"median {overhead['median_overhead_fraction'] * 100.0:+.2f}%, "
-          f"budget {overhead['budget'] * 100.0:.0f}%)")
-    for side in ("naive", "resilient"):
-        stats = chaos[side]
-        print(f"{side} under chaos: {stats['completed']}/{stats['offered']} "
-              f"completed ({stats['availability'] * 100.0:.2f}% "
-              f"availability, {stats['rejected']} rejected, "
-              f"{stats['timeouts']} timed out, {stats['errors']} errors)")
-    print(f"{chaos['respawns']} replica respawn(s), "
-          f"{chaos['retries']} retries spent")
-    acceptance = report["acceptance"]
-    print(f"report written to {path}")
-    if acceptance["enforced"] and not acceptance["passed"]:
-        print("error: resilience acceptance failed: "
-              f"overhead {acceptance['overhead_fraction']:.3f} "
-              f"(budget {acceptance['overhead_budget']}), "
-              f"resilient availability "
-              f"{acceptance['resilient_availability']:.4f} "
-              f"(floor {acceptance['availability_floor']}), "
-              f"naive availability {acceptance['naive_availability']:.4f} "
-              f"(must be < {acceptance['naive_ceiling']})",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_dedupe(args) -> int:
     from .data.blocking import (MinHashLSHBlocker,
                                 SortedNeighborhoodBlocker, TfIdfBlocker,
@@ -750,97 +656,46 @@ def _cmd_dedupe(args) -> int:
     return 0
 
 
-def _cmd_bench_blocking(args) -> int:
-    from .dedupe.bench import (BlockingBenchConfig, run_blocking_benchmark,
-                               validate_report, write_report)
-    config = BlockingBenchConfig(num_records=args.records, seed=args.seed)
-    report = run_blocking_benchmark(config, smoke=args.smoke)
-    problems = validate_report(report)
-    if problems:
-        for problem in problems:
-            print(f"error: invalid report: {problem}", file=sys.stderr)
-        return 2
-    path = args.output or "BENCH_blocking.json"
-    write_report(report, path)
-    acceptance = report["acceptance"]
-    print(f"gate: PC {acceptance['pairs_completeness']:.4f} "
-          f"(floor {acceptance['pairs_completeness_floor']}), "
-          f"RR {acceptance['reduction_ratio']:.6f} "
-          f"(floor {acceptance['reduction_ratio_floor']}), "
-          f"streamed {acceptance['streamed']}")
-    print(f"report written to {path}")
-    if acceptance["enforced"] and not acceptance["passed"]:
-        print("error: blocking acceptance failed", file=sys.stderr)
-        return 1
-    return 0
+def _run_bench_suite(args) -> dict:
+    if args.suite == "blocking":
+        from .dedupe.bench import run_blocking_benchmark
+        return run_blocking_benchmark(
+            num_records=args.records,
+            seed=7 if args.seed is None else args.seed, smoke=args.smoke)
+    common = {"num_pairs": args.pairs,
+              "seed": 0 if args.seed is None else args.seed,
+              "zoo_dir": args.zoo_dir, "smoke": args.smoke}
+    if args.suite == "perf":
+        from .perf.bench import DEFAULT_ARCHS, run_perf_benchmark
+        return run_perf_benchmark(
+            archs=(args.arch,) if args.arch else DEFAULT_ARCHS,
+            batch_size=args.batch_size or 64, **common)
+    # The serve suites were tuned (and their floors measured) at 32.
+    serve = {"arch": args.arch or "bert",
+             "batch_size": args.batch_size or 32,
+             "max_wait_ms": args.max_wait_ms, **common}
+    if args.suite == "serve":
+        from .serve.bench import run_serve_benchmark
+        return run_serve_benchmark(**serve)
+    from .serve.bench_resilient import run_resilient_benchmark
+    return run_resilient_benchmark(num_requests=args.requests, **serve)
 
 
 def _cmd_bench(args) -> int:
-    if args.seed is None:
-        # BlockingBenchConfig and BENCH_blocking.json use seed 7.
-        args.seed = 7 if args.suite == "blocking" else 0
-    if args.suite == "blocking":
-        return _cmd_bench_blocking(args)
-    if args.batch_size is None:
-        # The batched path peaks at larger batches; the serve suites were
-        # tuned (and their floors measured) at 32.
-        args.batch_size = 64 if args.suite == "perf" else 32
-    if args.suite == "serve":
-        return _cmd_bench_serve(args)
-    if args.suite == "resilient":
-        return _cmd_bench_resilient(args)
-    from .perf import run_perf_benchmark, validate_report, write_report
-    report = run_perf_benchmark(num_pairs=args.pairs, seed=args.seed,
-                                zoo_dir=args.zoo_dir,
-                                batch_size=args.batch_size,
-                                smoke=args.smoke)
-    problems = validate_report(report)
-    if problems:
-        for problem in problems:
-            print(f"error: invalid report: {problem}", file=sys.stderr)
+    from .perf.harness import failed_gates, write_report
+    report = _run_bench_suite(args)
+    try:
+        path = write_report(report,
+                            args.output or f"BENCH_{args.suite}.json")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    path = write_report(report, args.output or "BENCH_perf.json")
-    for arch, entry in report["architectures"].items():
-        print(f"{arch}: {entry['baseline_pairs_per_sec']:.1f} -> "
-              f"{entry['fast_pairs_per_sec']:.1f} pairs/sec "
-              f"({entry['speedup']:.2f}x, cache hit rate "
-              f"{entry['cache']['hit_rate']:.2f})")
-        quantized = entry.get("quantized")
-        if quantized:
-            print(f"  int8: {quantized['pairs_per_sec']:.1f} pairs/sec, "
-                  f"consistency {quantized['consistency']:.3f} "
-                  f"(max prob delta "
-                  f"{quantized['max_probability_delta']:.1e}), "
-                  f"artifact {quantized['artifact_bytes'] / 1024:.0f} KiB")
-    cascade = report.get("cascade")
-    if cascade:
-        band = cascade["band"]
-        print(f"cascade {cascade['primary']} -> {cascade['secondary']}: "
-              f"{cascade['pairs_per_sec']:.1f} pairs/sec "
-              f"({cascade['aggregate_speedup']:.2f}x aggregate), "
-              f"band [{band['lo']:.3f}, {band['hi']:.3f}], "
-              f"escalation {cascade['escalation_rate'] * 100.0:.1f}%, "
-              f"F1 {cascade['f1']['cascade']:.3f} vs "
-              f"{cascade['f1']['secondary']:.3f} secondary-only")
-    acceptance = report["acceptance"]
+    print("\n".join(report["summary"]))
     print(f"report written to {path}")
-    if acceptance["enforced"] and not acceptance["passed"]:
-        failed = [f"{arch} speedup {gate['speedup']:.2f}x < {gate['floor']}x"
-                  for arch, gate in acceptance["architectures"].items()
-                  if not gate["passed"]]
-        failed += [f"{arch} int8 consistency {gate['consistency']:.3f} < "
-                   f"{gate['floor']}"
-                   for arch, gate in acceptance["quantization"].items()
-                   if not gate["passed"]]
-        for key, label in (("cascade", "aggregate_speedup"),
-                           ("f1", "delta")):
-            gate = acceptance.get(key)
-            if gate and not gate["passed"]:
-                bound = gate.get("floor", gate.get("tolerance"))
-                failed.append(f"cascade {label} {gate[label]:.3f} "
-                              f"(bound {bound})")
-        print(f"error: perf acceptance failed: {'; '.join(failed)}",
-              file=sys.stderr)
+    failed = failed_gates(report)
+    if report["acceptance"]["enforced"] and failed:
+        print(f"error: {args.suite} acceptance failed: "
+              f"{', '.join(failed)}", file=sys.stderr)
         return 1
     return 0
 
@@ -862,7 +717,6 @@ _COMMANDS = {
     "audit": _cmd_audit,
     "dedupe": _cmd_dedupe,
     "bench": _cmd_bench,
-    "serve-bench": _cmd_bench,
 }
 
 

@@ -12,19 +12,18 @@ hardware allows without changing a single logit:
   batches to their own max length.
 * **Tokenization caching** (:mod:`repro.perf.cache`): a bounded LRU over
   text -> token ids with hit/miss counters in :mod:`repro.obs`.
-* **Benchmarking** (:mod:`repro.perf.bench`): the ``repro bench perf``
-  engine emitting ``BENCH_perf.json``.
+* **Benchmarking**: :mod:`repro.perf.harness` is the one bench harness
+  — declarative gates, one report writer and schema check, and the
+  paired A/B timer (median ratio with a bootstrap interval) — behind
+  every ``repro bench`` suite; :mod:`repro.perf.bench` is the
+  ``repro bench perf`` suite writing ``BENCH_perf.json``.  Neither is
+  imported here: import them by module path.
 """
 
-from .bench import (DEFAULT_ARCHS, SCHEMA_VERSION, PerfConfig, PerfGates,
-                    run_perf_benchmark, validate_report, write_report)
 from .bucketing import is_left_padded, plan_buckets, real_lengths, trim_length
 from .cache import LRUCache, TokenizationCache, ensure_token_cache
 
 __all__ = [
     "LRUCache", "TokenizationCache", "ensure_token_cache",
     "plan_buckets", "real_lengths", "is_left_padded", "trim_length",
-    "run_perf_benchmark", "validate_report", "write_report",
-    "DEFAULT_ARCHS", "SCHEMA_VERSION",
-    "PerfConfig", "PerfGates",
 ]

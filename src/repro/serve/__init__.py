@@ -20,28 +20,21 @@ closes that gap in-process:
   queueing test deterministic and sleep-free;
 * :mod:`~repro.serve.sim` — the seeded load generator and open-loop
   simulation driver behind both the tests and ``repro bench serve``;
-* :mod:`~repro.serve.bench` — throughput/latency benchmark versus the
-  serial baseline at several offered-load levels;
 * :mod:`~repro.serve.retry` / :mod:`~repro.serve.breaker` /
   :mod:`~repro.serve.resilient` — the fault-tolerance tier
   (DESIGN.md §15): seeded-backoff retries with budgets and deadline
   propagation, per-replica circuit breakers, hedged requests, load
   shedding, and the :class:`ReplicaSet` supervisor that respawns
   chaos-killed replicas — all deterministic under a
-  :class:`VirtualClock`;
-* :mod:`~repro.serve.bench_resilient` — availability under seeded
-  chaos (naive client vs resilient tier) plus the tier's chaos-off
-  overhead, behind ``repro bench resilient``.
+  :class:`VirtualClock`.
+
+The benchmarks behind ``repro bench serve`` (:mod:`repro.serve.bench`)
+and ``repro bench resilient`` (:mod:`repro.serve.bench_resilient`) run
+on :mod:`repro.perf.harness` and are not imported here.
 """
 
 from .backends import (CallableBackend, CascadeBackend, DeepMatcherBackend,
                        MatcherBackend)
-from .bench import (load_serve_report, run_serve_benchmark,
-                    validate_serve_report, write_serve_report)
-from .bench_resilient import (load_resilient_report,
-                              run_resilient_benchmark,
-                              validate_resilient_report,
-                              write_resilient_report)
 from .breaker import BreakerConfig, CircuitBreaker
 from .clock import Clock, ClockCondition, SystemClock, VirtualClock
 from .resilient import (HedgeConfig, Replica, ReplicaSet,
@@ -67,8 +60,4 @@ __all__ = [
     "BreakerConfig", "CircuitBreaker",
     "HedgeConfig", "ResilientConfig", "Replica", "ReplicaSet",
     "ResilientClient", "run_resilient_simulation",
-    "run_serve_benchmark", "validate_serve_report",
-    "write_serve_report", "load_serve_report",
-    "run_resilient_benchmark", "validate_resilient_report",
-    "write_resilient_report", "load_resilient_report",
 ]

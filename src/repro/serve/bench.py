@@ -1,56 +1,38 @@
 """The serving benchmark behind ``repro bench serve``.
 
-Fits one matcher, measures the serial ``match_many`` baseline, then
-replays seeded Poisson workloads through :class:`MatchService` on the
-real clock at several offered-load levels (fractions of the measured
-serial throughput).  The scorecard — per-level throughput, p50/p95
-request latency, rejection/timeout counts, plus the serial baseline —
-goes to ``BENCH_serve.json`` at the repo root.
+Fits one matcher, measures the serial ``match_many`` rate, then replays
+seeded Poisson workloads through :class:`MatchService` on the real
+clock at several offered-load levels (fractions of that rate).  The
+efficiency gate pairs the top-load drain against serial ``match_many``
+through the paired A/B timer of :mod:`repro.perf.harness`: the median
+paired ratio (serial seconds over service seconds for the same pairs)
+must keep half the serial throughput, judged on the lower end of its
+bootstrap interval.  The scorecard — per-level throughput, p50/p95
+request latency, rejection/timeout counts — goes to
+``BENCH_serve.json``.
 
-Imports from ``repro.matching`` stay inside the functions for the same
-reason as :mod:`repro.perf.bench`: the matching layer imports serving's
-sibling packages, and module-level imports here would be circular.
+Imports from ``repro.matching`` stay inside the functions (through the
+harness): the matching layer imports serving's sibling packages, and
+module-level imports here would be circular.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
+from ..perf import harness
 from .backends import MatcherBackend
 from .clock import SystemClock
 from .service import MatchService, ServeConfig
 from .sim import generate_workload, run_simulation
 
-__all__ = ["run_serve_benchmark", "write_serve_report",
-           "validate_serve_report", "load_serve_report",
-           "DEFAULT_LOAD_LEVELS", "EFFICIENCY_FLOOR"]
+__all__ = ["run_serve_benchmark", "LOAD_LEVELS", "EFFICIENCY_FLOOR"]
 
-#: Offered load as fractions of the measured serial throughput.
-DEFAULT_LOAD_LEVELS = (0.5, 1.0, 2.0)
+#: Offered load as fractions of the measured serial throughput; the
+#: last (highest) level is the one the efficiency gate times.
+LOAD_LEVELS = (0.5, 1.0, 2.0)
 #: Acceptance floor: service throughput at the highest load level must
 #: reach this fraction of the serial ``match_many`` throughput (the
 #: micro-batcher's coalescing overhead must not eat the batching win).
 EFFICIENCY_FLOOR = 0.5
-
-_REPORT_KEYS = ("benchmark", "smoke", "config", "baseline", "levels",
-                "acceptance")
-_LEVEL_KEYS = ("offered_rate", "offered", "completed", "rejected",
-               "timeouts", "degraded", "duration_seconds", "throughput",
-               "p50_latency_ms", "p95_latency_ms")
-
-
-def _serial_baseline(matcher, pairs) -> dict:
-    start = time.perf_counter()
-    outcomes = matcher.match_many(pairs, fast=True)
-    seconds = time.perf_counter() - start
-    return {
-        "pairs": len(pairs),
-        "seconds": seconds,
-        "pairs_per_sec": len(pairs) / max(seconds, 1e-9),
-        "degraded": sum(1 for o in outcomes if o.degraded),
-    }
 
 
 def _run_level(matcher, pairs, level: float, baseline_rate: float,
@@ -83,74 +65,43 @@ def _run_level(matcher, pairs, level: float, baseline_rate: float,
 def run_serve_benchmark(arch: str = "bert", num_pairs: int = 200,
                         seed: int = 0, zoo_dir=None,
                         batch_size: int = 32, max_wait_ms: float = 10.0,
-                        load_levels=DEFAULT_LOAD_LEVELS,
                         smoke: bool = False) -> dict:
     """Run the serving benchmark and return the report dict."""
-    from ..perf.bench import _build_workload, _fit_matcher
     if smoke:
         num_pairs = min(num_pairs, 24)
-    splits, pairs = _build_workload(num_pairs, seed)
-    matcher = _fit_matcher(arch, splits, seed, zoo_dir)
-    matcher.match_many(pairs[:8], fast=True)  # warm the token cache/JIT
-    baseline = _serial_baseline(matcher, pairs)
-    levels = {
-        f"{level:g}x": _run_level(matcher, pairs, level,
-                                  baseline["pairs_per_sec"], seed,
-                                  batch_size, max_wait_ms)
-        for level in load_levels}
-    top = f"{max(load_levels):g}x"
-    efficiency = (levels[top]["throughput"]
-                  / max(baseline["pairs_per_sec"], 1e-9))
-    return {
-        "benchmark": "serve",
-        "smoke": bool(smoke),
-        "config": {"arch": arch, "pairs": num_pairs, "seed": seed,
-                   "batch_size": batch_size, "max_wait_ms": max_wait_ms,
-                   "load_levels": list(load_levels)},
-        "baseline": baseline,
-        "levels": levels,
-        "acceptance": {
-            "efficiency_at_top_load": efficiency,
-            "floor": EFFICIENCY_FLOOR,
-            # Smoke runs are too small for stable timing; the floor is
-            # only enforced on full runs.
-            "enforced": not smoke,
-            "passed": bool(smoke or efficiency >= EFFICIENCY_FLOOR),
-        },
-    }
+    splits, pairs = harness.build_workload(num_pairs, seed)
+    matcher = harness.fit_matcher(arch, splits, seed, zoo_dir)
+    baseline = harness.serial_baseline(matcher, pairs)
 
+    def level(load: float) -> dict:
+        return _run_level(matcher, pairs, load, baseline["pairs_per_sec"],
+                          seed, batch_size, max_wait_ms)
 
-def validate_serve_report(report: dict) -> list[str]:
-    """Schema check; returns a list of problems (empty = valid)."""
-    problems = []
-    for key in _REPORT_KEYS:
-        if key not in report:
-            problems.append(f"missing top-level key {key!r}")
-    if report.get("benchmark") != "serve":
-        problems.append("benchmark field must be 'serve'")
-    levels = report.get("levels", {})
-    if not levels:
-        problems.append("no load levels recorded")
-    for name, entry in levels.items():
-        for key in _LEVEL_KEYS:
-            if key not in entry:
-                problems.append(f"levels[{name!r}] missing {key!r}")
-    acceptance = report.get("acceptance", {})
-    for key in ("efficiency_at_top_load", "floor", "enforced", "passed"):
-        if key not in acceptance:
-            problems.append(f"acceptance missing {key!r}")
-    return problems
-
-
-def write_serve_report(report: dict, path: str | Path) -> Path:
-    """Atomically write the report JSON to ``path``."""
-    from ..utils import atomic_write_text
-    path = Path(path)
-    atomic_write_text(path, json.dumps(report, indent=2, sort_keys=True)
-                      + "\n")
-    return path
-
-
-def load_serve_report(path: str | Path) -> dict:
-    """Read a report written by :func:`write_serve_report`."""
-    return json.loads(Path(path).read_text())
+    *lower, top = LOAD_LEVELS
+    levels = {f"{load:g}x": level(load) for load in lower}
+    timing = harness.paired(lambda: level(top),
+                            lambda: matcher.match_many(pairs, fast=True),
+                            cycles=harness.cycles_for(smoke))
+    levels[f"{top:g}x"] = timing.a_result
+    config = {"arch": arch, "pairs": num_pairs, "seed": seed,
+              "batch_size": batch_size, "max_wait_ms": max_wait_ms,
+              "load_levels": list(LOAD_LEVELS),
+              "cycles": len(timing.ratios)}
+    summary = [f"match service under load ({arch}, {num_pairs} pairs, "
+               f"batch size {batch_size}, flush {max_wait_ms} ms)",
+               f"  serial baseline: {baseline['pairs_per_sec']:8.1f} "
+               f"pairs/s"]
+    for name, stats in levels.items():
+        summary.append(
+            f"  {name:<5} load {stats['offered_rate']:8.1f} req/s: "
+            f"{stats['completed']}/{stats['offered']} done at "
+            f"{stats['throughput']:8.1f} req/s, "
+            f"p50 {stats['p50_latency_ms']:7.1f} ms, "
+            f"p95 {stats['p95_latency_ms']:7.1f} ms, "
+            f"{stats['rejected']} rejected, "
+            f"{stats['timeouts']} timed out")
+    return harness.build_report(
+        "serve", smoke=smoke, config=config,
+        gates=[timing.gate("efficiency_at_top_load", EFFICIENCY_FLOOR)],
+        summary=summary, baseline=baseline, levels=levels,
+        efficiency=timing.as_dict())

@@ -3,9 +3,11 @@
 Two questions, one scorecard (``BENCH_resilient.json``):
 
 * **What does the tier cost when nothing fails?**  A burst workload is
-  drained twice — once through a bare :class:`MatchService`, once
-  through a single-replica :class:`ResilientClient` with hedging off —
-  and the throughput ratio is the tier's overhead (budget: ≤ 2%).
+  drained through a bare :class:`MatchService` and through a
+  single-replica :class:`ResilientClient` with hedging off, paired by
+  the A/B timer of :mod:`repro.perf.harness`; the overhead is the
+  median paired time ratio minus one, and the upper end of its
+  bootstrap interval must stay under the 2% budget.
 * **What does the tier buy when things fail?**  The same seeded chaos
   (worker kills, slow forwards, poisoned forwards) is injected into a
   naive single service and into a three-replica resilient tier, both
@@ -21,9 +23,7 @@ sibling packages, and module-level imports here would be circular.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
+from ..perf import harness
 from ..resilience.chaos import ChaosConfig, ChaosMonkey
 from .backends import MatcherBackend
 from .breaker import BreakerConfig
@@ -34,12 +34,11 @@ from .retry import RetryConfig
 from .service import MatchService, ServeConfig
 from .sim import SimReport, generate_workload, run_simulation
 
-__all__ = ["run_resilient_benchmark", "write_resilient_report",
-           "validate_resilient_report", "load_resilient_report",
-           "OVERHEAD_BUDGET", "AVAILABILITY_FLOOR", "NAIVE_CEILING"]
+__all__ = ["run_resilient_benchmark", "OVERHEAD_BUDGET",
+           "AVAILABILITY_FLOOR", "NAIVE_CEILING"]
 
-#: Chaos-off tier overhead budget: resilient throughput on the burst
-#: drain must stay within this fraction of the bare service's.
+#: Chaos-off tier overhead budget: the resilient drain of the burst may
+#: take at most this fraction longer than the bare service's.
 OVERHEAD_BUDGET = 0.02
 #: Under seeded chaos at 1× offered load the resilient tier must keep
 #: this fraction of requests completing non-error (matched or degraded).
@@ -47,12 +46,6 @@ AVAILABILITY_FLOOR = 0.999
 #: ...while the naive client must land measurably below this, or the
 #: injected chaos was too soft to prove anything.
 NAIVE_CEILING = 0.99
-
-_REPORT_KEYS = ("benchmark", "smoke", "config", "baseline", "overhead",
-                "chaos", "acceptance")
-_STATS_KEYS = ("offered", "completed", "rejected", "timeouts",
-               "degraded", "errors", "duration_seconds", "throughput",
-               "availability", "p50_latency_ms", "p95_latency_ms")
 
 
 def _sim_stats(report: SimReport) -> dict:
@@ -81,30 +74,18 @@ def _serve_config(batch_size: int, max_wait_ms: float,
 
 def _overhead_phase(matcher, pairs, rate: float, seed: int,
                     batch_size: int, max_wait_ms: float,
-                    cycles: int = 5) -> dict:
-    """Burst-drain the same workload bare and through the tier.
+                    cycles: int) -> harness.Paired:
+    """Burst-drain the same workload bare (a) and through the tier (b).
 
     The burst arrives far above capacity, so the run time is the drain
-    time and throughput measures capacity — the regime where a
-    per-request tier tax would actually show up (at 1× offered load the
-    service idles and overhead hides in the gaps).
-
-    A single before/after pair mostly measures scheduler and
-    CPU-frequency noise, not the tier tax, so the two sides run
-    interleaved for ``cycles`` back-to-back (naive, resilient) pairs
-    and the gate takes the *best paired cycle*: a structural
-    per-request tax slows the resilient side of every cycle, while
-    noise is one-sided and lands on whichever side it lands — the
-    cycle it spared on both sides shows the true floor (same
-    reasoning as ``bench_lockset_overhead``; pairing matters because
-    an unpaired best-vs-best can compare a lucky naive run against an
-    unlucky resilient one and report noise as tax).
+    time and measures capacity — the regime where a per-request tier
+    tax would actually show up (at 1× offered load the service idles
+    and overhead hides in the gaps).
     """
     from ..obs import MetricsRegistry
     burst_rate = max(rate, 1.0) * 50.0
     # Three passes over the pair set per drain: each drain saturates
-    # for a few hundred ms, so per-cycle scheduler noise amortizes to
-    # well under the budget being gated.
+    # for a few hundred ms, so per-cycle scheduler noise amortizes.
     num_requests = 3 * len(pairs)
     max_queue = max(4 * batch_size, 2 * num_requests)
     workload = generate_workload(pairs, num_requests=num_requests,
@@ -137,30 +118,7 @@ def _overhead_phase(matcher, pairs, rate: float, seed: int,
 
     _drain_naive()       # warm thread pools, allocator, token cache
     _drain_resilient()
-    naive_runs = []
-    resilient_runs = []
-    for _ in range(max(cycles, 1)):
-        naive_runs.append(_drain_naive())
-        resilient_runs.append(_drain_resilient())
-
-    per_cycle = sorted(
-        1.0 - res.throughput / max(nav.throughput, 1e-9)
-        for nav, res in zip(naive_runs, resilient_runs))
-    best = min(
-        range(len(naive_runs)),
-        key=lambda i: 1.0 - resilient_runs[i].throughput
-        / max(naive_runs[i].throughput, 1e-9))
-    naive = naive_runs[best]
-    resilient = resilient_runs[best]
-    return {
-        "naive": _sim_stats(naive),
-        "resilient": _sim_stats(resilient),
-        "overhead_fraction": per_cycle[0],
-        "cycles": len(naive_runs),
-        "per_cycle_overhead": per_cycle,
-        "median_overhead_fraction": per_cycle[len(per_cycle) // 2],
-        "budget": OVERHEAD_BUDGET,
-    }
+    return harness.paired(_drain_naive, _drain_resilient, cycles=cycles)
 
 
 def _chaos_monkey(seed: int, num_requests: int, batch_size: int,
@@ -238,15 +196,12 @@ def _chaos_phase(matcher, pairs, rate: float, seed: int,
     resilient = run_resilient_simulation(client, workload)
     respawns = sum(replica.respawns for replica in replicas.replicas)
 
-    result = {
+    return {
         "naive": _sim_stats(naive),
         "resilient": _sim_stats(resilient),
         "respawns": respawns,
         "retries": client.policy.budget.retries,
-        "availability_floor": AVAILABILITY_FLOOR,
-        "naive_ceiling": NAIVE_CEILING,
     }
-    return result
 
 
 def run_resilient_benchmark(arch: str = "bert", num_pairs: int = 200,
@@ -256,95 +211,56 @@ def run_resilient_benchmark(arch: str = "bert", num_pairs: int = 200,
                             num_requests: int = 1000,
                             smoke: bool = False) -> dict:
     """Run the resilience benchmark and return the report dict."""
-    from ..perf.bench import _build_workload, _fit_matcher
     if smoke:
         num_pairs = min(num_pairs, 24)
         num_requests = min(num_requests, 32)
-    splits, pairs = _build_workload(num_pairs, seed)
-    matcher = _fit_matcher(arch, splits, seed, zoo_dir)
-    matcher.match_many(pairs[:8], fast=True)  # warm the token cache/JIT
-    import time
-    start = time.perf_counter()
-    outcomes = matcher.match_many(pairs, fast=True)
-    seconds = time.perf_counter() - start
-    baseline = {
-        "pairs": len(pairs),
-        "seconds": seconds,
-        "pairs_per_sec": len(pairs) / max(seconds, 1e-9),
-        "degraded": sum(1 for outcome in outcomes if outcome.degraded),
-    }
+    splits, pairs = harness.build_workload(num_pairs, seed)
+    matcher = harness.fit_matcher(arch, splits, seed, zoo_dir)
+    baseline = harness.serial_baseline(matcher, pairs)
     rate = baseline["pairs_per_sec"]
-    overhead = _overhead_phase(matcher, pairs, rate, seed, batch_size,
-                               max_wait_ms, cycles=2 if smoke else 5)
+    timing = _overhead_phase(matcher, pairs, rate, seed, batch_size,
+                             max_wait_ms, harness.cycles_for(smoke))
+    overhead = {"naive": _sim_stats(timing.a_result),
+                "resilient": _sim_stats(timing.b_result),
+                "timing": timing.as_dict()}
     chaos = _chaos_phase(matcher, pairs, rate, seed, batch_size,
                          max_wait_ms, num_requests)
-    resilient_availability = chaos["resilient"]["availability"]
-    naive_availability = chaos["naive"]["availability"]
-    passed = (overhead["overhead_fraction"] <= OVERHEAD_BUDGET
-              and resilient_availability >= AVAILABILITY_FLOOR
-              and naive_availability < NAIVE_CEILING)
-    return {
-        "benchmark": "resilient",
-        "smoke": bool(smoke),
-        "config": {"arch": arch, "pairs": num_pairs, "seed": seed,
-                   "batch_size": batch_size, "max_wait_ms": max_wait_ms,
-                   "num_requests": num_requests},
-        "baseline": baseline,
-        "overhead": overhead,
-        "chaos": chaos,
-        "acceptance": {
-            "overhead_fraction": overhead["overhead_fraction"],
-            "overhead_budget": OVERHEAD_BUDGET,
-            "resilient_availability": resilient_availability,
-            "availability_floor": AVAILABILITY_FLOOR,
-            "naive_availability": naive_availability,
-            "naive_ceiling": NAIVE_CEILING,
-            # Smoke runs are too small for stable timing or for the
-            # 99.9% resolution (32 requests); floors are only enforced
-            # on full runs.
-            "enforced": not smoke,
-            "passed": bool(smoke or passed),
-        },
-    }
-
-
-def validate_resilient_report(report: dict) -> list[str]:
-    """Schema check; returns a list of problems (empty = valid)."""
-    problems = []
-    for key in _REPORT_KEYS:
-        if key not in report:
-            problems.append(f"missing top-level key {key!r}")
-    if report.get("benchmark") != "resilient":
-        problems.append("benchmark field must be 'resilient'")
-    for phase in ("overhead", "chaos"):
-        entry = report.get(phase, {})
-        for side in ("naive", "resilient"):
-            stats = entry.get(side)
-            if stats is None:
-                problems.append(f"{phase} missing {side!r} stats")
-                continue
-            for key in _STATS_KEYS:
-                if key not in stats:
-                    problems.append(f"{phase}[{side!r}] missing {key!r}")
-    acceptance = report.get("acceptance", {})
-    for key in ("overhead_fraction", "overhead_budget",
-                "resilient_availability", "availability_floor",
-                "naive_availability", "naive_ceiling", "enforced",
-                "passed"):
-        if key not in acceptance:
-            problems.append(f"acceptance missing {key!r}")
-    return problems
-
-
-def write_resilient_report(report: dict, path: str | Path) -> Path:
-    """Atomically write the report JSON to ``path``."""
-    from ..utils import atomic_write_text
-    path = Path(path)
-    atomic_write_text(path, json.dumps(report, indent=2, sort_keys=True)
-                      + "\n")
-    return path
-
-
-def load_resilient_report(path: str | Path) -> dict:
-    """Read a report written by :func:`write_resilient_report`."""
-    return json.loads(Path(path).read_text())
+    gates = [
+        timing.gate("overhead_fraction", OVERHEAD_BUDGET, "ceiling",
+                    shift=-1.0),
+        # Smoke runs (32 requests) cannot resolve 99.9%; the gates are
+        # only enforced on full runs.
+        harness.Gate("resilient_availability",
+                     chaos["resilient"]["availability"],
+                     AVAILABILITY_FLOOR),
+        harness.Gate("naive_availability",
+                     chaos["naive"]["availability"], NAIVE_CEILING,
+                     "ceiling"),
+    ]
+    config = {"arch": arch, "pairs": num_pairs, "seed": seed,
+              "batch_size": batch_size, "max_wait_ms": max_wait_ms,
+              "num_requests": num_requests, "cycles": len(timing.ratios)}
+    median, low, high = ((ratio - 1.0) * 100.0
+                         for ratio in (timing.median, *timing.interval))
+    summary = [f"resilient serving tier ({arch}, {num_pairs} pairs, "
+               f"{num_requests} requests, batch size {batch_size})",
+               f"  serial baseline: {rate:8.1f} pairs/s",
+               f"  chaos-off overhead: {median:+.2f}% [{low:+.2f}%, "
+               f"{high:+.2f}%] (median of {len(timing.ratios)} paired "
+               f"cycles)"]
+    for side in ("naive", "resilient"):
+        stats = chaos[side]
+        summary.append(
+            f"  {side:<9} under chaos: "
+            f"{stats['completed']}/{stats['offered']} done "
+            f"({stats['availability'] * 100.0:6.2f}% avail, "
+            f"{stats['rejected']} rejected, "
+            f"{stats['timeouts']} timed out, "
+            f"{stats['errors']} errors, "
+            f"p95 {stats['p95_latency_ms']:7.1f} ms)")
+    summary.append(f"  recovery: {chaos['respawns']} respawn(s), "
+                   f"{chaos['retries']} retries spent")
+    return harness.build_report(
+        "resilient", smoke=smoke, config=config, gates=gates,
+        summary=summary, baseline=baseline, overhead=overhead,
+        chaos=chaos)

@@ -55,6 +55,11 @@ class TestParser:
         args = build_parser().parse_args(["bench", "perf"])
         assert args.batch_size is None  # resolved per-suite at runtime
 
+    def test_bench_arch_resolved_per_suite_and_no_alias(self):
+        assert build_parser().parse_args(["bench", "perf"]).arch is None
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve-bench"])
+
     def test_bench_blocking_args(self):
         args = build_parser().parse_args(
             ["bench", "blocking", "--smoke", "--records", "5000"])

@@ -490,11 +490,13 @@ class TestClusterArtifacts:
 
 class TestBenchSmoke:
     def test_smoke_report_valid_and_gated(self):
-        from repro.dedupe.bench import (run_blocking_benchmark,
-                                        validate_report)
+        from repro.dedupe.bench import run_blocking_benchmark
+        from repro.perf.harness import check_report
         report = run_blocking_benchmark(smoke=True, log=lambda *_: None)
-        assert validate_report(report) == []
+        assert check_report(report) == []
         assert report["acceptance"]["enforced"] is False
+        assert [gate["name"] for gate in report["acceptance"]["gates"]] \
+            == ["pairs_completeness", "reduction_ratio", "streamed"]
         assert set(report["comparison"]) == {"token",
                                              "sorted_neighborhood",
                                              "tfidf", "minhash_lsh"}
@@ -527,7 +529,7 @@ class TestBenchSmoke:
         assert measured["num_candidates"] == quality.num_candidates
 
     def test_write_report_rejects_invalid(self, tmp_path):
-        from repro.dedupe.bench import write_report
+        from repro.perf.harness import write_report
         with pytest.raises(ValueError):
             write_report({"benchmark": "blocking"},
                          tmp_path / "bad.json")

@@ -66,12 +66,46 @@ def test_every_paper_artifact_has_a_benchmark():
         assert expected in names, expected
 
 
+@pytest.mark.parametrize("suite, extra, check", [
+    pytest.param("perf", ["--arch", "bert"],
+                 lambda report, out: set(report["architectures"])
+                 == {"bert"},
+                 marks=pytest.mark.perf, id="perf"),
+    pytest.param("resilient", [],
+                 lambda report, out:
+                 report["chaos"]["resilient"]["offered"] == 32,
+                 marks=pytest.mark.resilient, id="resilient"),
+    pytest.param("blocking", [],
+                 lambda report, out: report["config"]["seed"] == 7,
+                 marks=pytest.mark.blocking, id="blocking"),
+])
+def test_bench_cli_smoke(suite, extra, check, tiny_zoo_dir, tmp_path):
+    """``python -m repro bench <suite> --smoke`` runs end to end, prints
+    the report's summary and writes a schema-valid report."""
+    from repro.perf.harness import check_report
+    out = tmp_path / f"BENCH_{suite}.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "bench", suite, "--smoke",
+         "--zoo-dir", str(tiny_zoo_dir), "--output", str(out), *extra],
+        cwd=ROOT, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        check=False)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert check_report(report) == []
+    assert report["benchmark"] == suite
+    assert report["smoke"] is True
+    assert report["acceptance"]["enforced"] is False
+    assert "\n".join(report["summary"]) in proc.stdout
+    assert check(report, proc.stdout)
+
+
 @pytest.mark.serve
 def test_serve_bench_cli_smoke(tiny_zoo_dir, tmp_path):
     """``repro bench serve --smoke`` runs end to end and writes a
     schema-valid ``BENCH_serve.json`` (the one benchmark exercising the
     serving stack on the real clock)."""
-    from repro.serve import validate_serve_report
+    from repro.perf.harness import check_report
     out = tmp_path / "BENCH_serve.json"
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "bench", "serve", "--smoke",
@@ -81,8 +115,12 @@ def test_serve_bench_cli_smoke(tiny_zoo_dir, tmp_path):
         check=False)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
-    assert validate_serve_report(report) == []
+    assert check_report(report) == []
+    assert report["benchmark"] == "serve"
     assert report["smoke"] is True
+    assert report["acceptance"]["enforced"] is False
+    assert set(report["levels"]) == {"0.5x", "1x", "2x"}
+    assert "\n".join(report["summary"]) in proc.stdout
     assert "serial baseline" in proc.stdout
 
 

@@ -13,10 +13,6 @@ Three contracts anchor the whole ``repro.perf`` layer:
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,13 +24,12 @@ from repro.nn import is_grad_enabled, no_grad
 from repro.obs import MetricsRegistry
 from repro.perf import (LRUCache, TokenizationCache, ensure_token_cache,
                         is_left_padded, plan_buckets, real_lengths,
-                        run_perf_benchmark, trim_length, validate_report,
-                        write_report)
+                        trim_length)
+from repro.perf.bench import run_perf_benchmark
+from repro.perf.harness import check_report, write_report
 from repro.utils import child_rng
 
 pytestmark = pytest.mark.perf
-
-BENCH_SCRIPT = Path(__file__).parent.parent / "benchmarks" / "bench_perf.py"
 
 ARCH_FIXTURES = ["tiny_bert", "tiny_roberta", "tiny_distilbert",
                  "tiny_xlnet"]
@@ -316,30 +311,21 @@ class TestBenchReport:
                                                  tmp_path):
         report = run_perf_benchmark(archs=("bert",), smoke=True,
                                     zoo_dir=tiny_zoo_dir)
-        assert validate_report(report) == []
+        assert check_report(report) == []
         assert report["smoke"] is True
         entry = report["architectures"]["bert"]
-        assert entry["decisions_consistent"]
+        assert entry["decision_agreement"] == 1.0
         assert entry["fast_pairs_per_sec"] > 0
+        gates = {gate["name"]: gate
+                 for gate in report["acceptance"]["gates"]}
+        assert gates["bert.decision_agreement"]["passed"]
+        assert gates["bert.speedup"]["bound"] == 2.0
+        assert gates["bert.speedup"]["interval"] is not None
+        assert "bert.int8_consistency" in gates
         path = write_report(report, tmp_path / "BENCH_perf.json")
-        assert validate_report(json.loads(path.read_text())) == []
+        assert check_report(json.loads(path.read_text())) == []
 
     def test_validate_report_flags_gaps(self):
-        problems = validate_report({"benchmark": "other"})
-        assert any("architectures" not in p for p in problems)
-        assert any("must be 'perf'" in p for p in problems)
-
-    def test_bench_script_smoke(self, tiny_zoo_dir, tmp_path):
-        out = tmp_path / "BENCH_perf.json"
-        proc = subprocess.run(
-            [sys.executable, str(BENCH_SCRIPT), "--smoke",
-             "--archs", "bert", "--zoo-dir", str(tiny_zoo_dir),
-             "--output", str(out)],
-            cwd=BENCH_SCRIPT.parent, capture_output=True, text=True,
-            env={**os.environ,
-                 "PYTHONPATH": f"{BENCH_SCRIPT.parent.parent / 'src'}:."},
-            check=False)
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(out.read_text())
-        assert validate_report(report) == []
-        assert report["smoke"] is True
+        problems = check_report({"benchmark": "perf"})
+        assert any("acceptance" in p for p in problems)
+        assert any("schema" in p for p in problems)

@@ -19,10 +19,6 @@ Four contracts anchor ``repro.serve``:
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
 import threading
 from pathlib import Path
 
@@ -41,12 +37,10 @@ from repro.serve import (CallableBackend, DeepMatcherBackend,
                          MatcherBackend, MatchService, RequestTimeout,
                          ServeConfig, ServiceClosed, ServiceOverloaded,
                          SystemClock, VirtualClock, generate_workload,
-                         run_simulation, validate_serve_report)
+                         run_simulation)
 from repro.utils import child_rng
 
 pytestmark = pytest.mark.serve
-
-BENCH_SCRIPT = Path(__file__).parent.parent / "benchmarks" / "bench_serve.py"
 
 ARCH_FIXTURES = ["tiny_bert", "tiny_roberta", "tiny_distilbert",
                  "tiny_xlnet"]
@@ -785,26 +779,25 @@ class TestThreadSafetyRegressions:
 
 
 class TestBenchReport:
-    """Satellite 5: the serve benchmark emits a valid report."""
+    """The serve benchmark writes through the one schema check."""
 
     def test_validate_flags_gaps(self):
-        assert validate_serve_report({}) != []
-        assert any("levels" in problem
-                   for problem in validate_serve_report(
-                       {"benchmark": "serve"}))
+        from repro.perf.harness import check_report
+        assert check_report({}) != []
+        assert any("summary" in problem
+                   for problem in check_report({"benchmark": "serve"}))
 
     def test_bench_script_smoke(self, tiny_zoo_dir, tmp_path):
-        out = tmp_path / "BENCH_serve.json"
-        proc = subprocess.run(
-            [sys.executable, str(BENCH_SCRIPT), "--smoke",
-             "--zoo-dir", str(tiny_zoo_dir), "--output", str(out)],
-            cwd=BENCH_SCRIPT.parent, capture_output=True, text=True,
-            env={**os.environ,
-                 "PYTHONPATH": f"{BENCH_SCRIPT.parent.parent / 'src'}:."},
-            check=False)
-        assert proc.returncode == 0, proc.stderr
+        """The path ``benchmarks/bench_serve.py`` takes: run the serve
+        benchmark, then write its report through the schema check."""
+        import json
+        from repro.perf.harness import check_report, write_report
+        from repro.serve.bench import run_serve_benchmark
+        out = write_report(run_serve_benchmark(zoo_dir=tiny_zoo_dir,
+                                               smoke=True),
+                           tmp_path / "BENCH_serve.json")
         report = json.loads(out.read_text())
-        assert validate_serve_report(report) == []
+        assert check_report(report) == []
         assert report["smoke"] is True
         assert set(report["levels"]) == {"0.5x", "1x", "2x"}
 
