@@ -8,7 +8,9 @@ dropout -> V).  :meth:`Tensor.linear`, :meth:`Tensor.gelu`,
 :meth:`Tensor.attention_core` compute their forward by calling these
 kernels and register a hand-written backward on top, so a model has
 exactly one forward: training runs it with the tape on, inference with
-the tape off.
+the tape off.  Kernels whose backward needs forward intermediates (GELU,
+layer norm, the attention core) return them next to the output: the
+tape keeps them, inference drops them.
 
 Because every forward runs through this module it is also the dispatch
 point for the hooks that must see every layer: :func:`count_kernels`
@@ -26,7 +28,7 @@ import numpy as np
 
 from .init import ACC_DTYPE
 
-__all__ = ["linear", "gelu", "softmax", "normalize", "layer_norm",
+__all__ = ["linear", "gelu", "softmax", "layer_norm",
            "attention_core", "count_kernels", "qlinear", "qattention_core",
            "quantized_inference", "record_activations"]
 
@@ -163,26 +165,30 @@ def qlinear(x: np.ndarray, quantized) -> np.ndarray:
     return out
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GELU, tanh approximation (as in BERT): the forward of
-    :meth:`Tensor.gelu`."""
+    :meth:`Tensor.gelu`.
+
+    Returns ``(out, tanh(inner))``; the tape keeps the second for the
+    backward, inference drops it.
+    """
     _notify("gelu")
     c = float(np.sqrt(2.0 / np.pi))
     # 0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x))).  x * x * x,
     # not x ** 3: numpy's pow ufunc is ~100x slower than two multiplies.
-    # The in-place chain saves four activation-sized temporaries, and
-    # each step is a commutative twin of the plain expression, so the
-    # backward of Tensor.gelu can recompute tanh(inner) bit for bit.
+    # The in-place chains need two activation-sized arrays in all.
+    # (1 + t) * 0.5 is exact, so ((1 + t) * 0.5) * x rounds like
+    # (0.5 * x) * (1 + t) and t survives for the backward.
     t = x * x
     t *= x
     t *= 0.044715
     t += x
     t *= c
     np.tanh(t, out=t)
-    t += 1.0
-    half_x = 0.5 * x
-    half_x *= t
-    return half_x
+    out = t + 1.0
+    out *= 0.5
+    out *= x
+    return out, t
 
 
 def softmax(x: np.ndarray, axis: int = -1,
@@ -208,35 +214,32 @@ def softmax(x: np.ndarray, axis: int = -1,
     return shifted
 
 
-def normalize(x: np.ndarray,
-              eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
-    """``(x - mean, 1 / sqrt(var + eps))`` over the last axis.
+def layer_norm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+               eps: float = 1e-5
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm over the last axis: the forward of
+    :meth:`Tensor.layer_norm`.
 
-    The arithmetic of ``x.mean(-1)`` and ``x.var(-1)`` step for step
-    (numpy sums, then divides by an ``intp`` count), so the results are
-    bitwise those of the two calls, but the centered array is formed
-    once and shared by the variance and the caller.  Layer norm's
-    forward and its backward both normalize through here.
+    Returns ``(out, x_hat, inv)``: the output, the normalized input and
+    ``1 / sqrt(var + eps)``; the tape keeps the last two for the
+    backward, inference drops them.  The mean and variance are the
+    arithmetic of ``x.mean(-1)`` and ``x.var(-1)`` step for step (numpy
+    sums, then divides by an ``intp`` count), so they are bitwise those
+    of the two calls; the squared deviations' buffer becomes the output.
     """
+    _notify("layer_norm")
     count = np.intp(x.shape[-1])
     mean = np.add.reduce(x, axis=-1, keepdims=True)
     np.true_divide(mean, count, out=mean, casting="unsafe")
-    centered = x - mean
-    var = np.add.reduce(np.square(centered), axis=-1, keepdims=True)
+    x_hat = x - mean
+    out = np.square(x_hat)
+    var = np.add.reduce(out, axis=-1, keepdims=True)
     np.true_divide(var, count, out=var, casting="unsafe")
-    return centered, 1.0 / np.sqrt(var + eps)
-
-
-def layer_norm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-               eps: float = 1e-5) -> np.ndarray:
-    """Layer norm over the last axis: the forward of
-    :meth:`Tensor.layer_norm`."""
-    _notify("layer_norm")
-    out, inv = normalize(x, eps)
-    out *= inv
-    out *= weight
+    inv = 1.0 / np.sqrt(var + eps)
+    x_hat *= inv
+    np.multiply(x_hat, weight, out=out)
     out += bias
-    return out
+    return out, x_hat, inv
 
 
 def attention_core(q: np.ndarray | None, k: np.ndarray | None,

@@ -6,6 +6,8 @@ standard recipe for BERT-style classification heads (Devlin et al., 2018).
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
 from .module import Parameter
@@ -112,7 +114,17 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2014) with decoupled weight decay (AdamW-style)."""
+    """Adam (Kingma & Ba, 2014) with decoupled weight decay (AdamW-style).
+
+    The moments of all parameters of one dtype live in one flat ``m``
+    and one flat ``v`` buffer; ``_m``/``_v`` are per-parameter views
+    into them, which :meth:`state_dict` and :meth:`load_state_dict` read
+    and write.  A step updates each run of consecutive parameters that
+    have a gradient in one vectorised pass over its slice of the buffers,
+    elementwise the expression a per-parameter loop would evaluate, so
+    the weights come out bit for bit the same.  Parameters whose
+    ``grad`` is None keep their moments and data untouched.
+    """
 
     def __init__(self, parameters: list[Parameter], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999),
@@ -123,28 +135,78 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        by_dtype: dict[np.dtype, list[int]] = {}
+        for i, param in enumerate(self.parameters):
+            by_dtype.setdefault(param.data.dtype, []).append(i)
+        self._m: list[np.ndarray] = [None] * len(self.parameters)
+        self._v: list[np.ndarray] = [None] * len(self.parameters)
+        # (parameter indices, their offsets into the flat buffers, m, v)
+        self._groups = []
+        for dtype, members in by_dtype.items():
+            offsets = np.cumsum(
+                [0] + [self.parameters[i].data.size for i in members])
+            m = np.zeros(offsets[-1], dtype=dtype)
+            v = np.zeros(offsets[-1], dtype=dtype)
+            for i, start, stop in zip(members, offsets[:-1], offsets[1:]):
+                shape = self.parameters[i].data.shape
+                self._m[i] = m[start:stop].reshape(shape)
+                self._v[i] = v[start:stop].reshape(shape)
+            self._groups.append((members, offsets, m, v))
 
     def step(self) -> None:
         self._step_count += 1
         t = self._step_count
         bias1 = 1.0 - self.beta1 ** t
         bias2 = 1.0 - self.beta2 ** t
-        for param, m, v in zip(self.parameters, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (grad * grad)
-            m_hat = m / bias1
-            v_hat = v / bias2
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * param.data
-            param.data -= self.lr * update
+        for members, offsets, m, v in self._groups:
+            lo = 0
+            for has_grad, run in groupby(
+                    members, key=lambda i: self.parameters[i].grad
+                    is not None):
+                run = list(run)
+                hi = lo + len(run)
+                if has_grad:
+                    self._update_run(
+                        [self.parameters[i] for i in run],
+                        offsets[lo:hi + 1] - offsets[lo],
+                        m[offsets[lo]:offsets[hi]],
+                        v[offsets[lo]:offsets[hi]], bias1, bias2)
+                lo = hi
+
+    def _update_run(self, params: list[Parameter], bounds: np.ndarray,
+                    m: np.ndarray, v: np.ndarray,
+                    bias1: float, bias2: float) -> None:
+        """One pass of the update over consecutive ``params``, whose
+        moments are the flat slices ``m`` and ``v`` (parameter ``i`` at
+        ``bounds[i]:bounds[i + 1]``).  Each in-place step
+        is a commutative twin of the plain per-parameter expression::
+
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad * grad
+            update = (m / bias1) / (sqrt(v / bias2) + eps)
+                     [+ weight_decay * data]
+            data -= lr * update
+        """
+        grad = np.concatenate([p.grad.reshape(-1) for p in params])
+        square = grad * grad
+        m *= self.beta1
+        grad *= 1.0 - self.beta1
+        m += grad
+        v *= self.beta2
+        square *= 1.0 - self.beta2
+        v += square
+        update = m / bias1
+        denom = np.divide(v, bias2, out=square)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        if self.weight_decay:
+            decay = np.concatenate([p.data.reshape(-1) for p in params])
+            decay *= self.weight_decay
+            update += decay
+        update *= self.lr
+        for param, start, stop in zip(params, bounds[:-1], bounds[1:]):
+            param.data -= update[start:stop].reshape(param.data.shape)
 
     def state_dict(self) -> dict:
         state = {}

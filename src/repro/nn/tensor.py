@@ -112,7 +112,36 @@ def _dropout_mask(shape: tuple[int, ...], p: float,
     """Inverted-dropout multiplier: 0 with probability ``p``, else
     ``1 / (1 - p)``."""
     keep = 1.0 - p
-    return ((rng.random(shape) < keep) / keep).astype(dtype)
+    # One pass straight into ``dtype``: (r < keep) / keep in float64 and
+    # a cast would round 1 / keep to ``dtype`` the same way, through two
+    # float64 temporaries.
+    return np.multiply(rng.random(shape) < keep,
+                       np.dtype(dtype).type(1 / keep), dtype=dtype)
+
+
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is basic indexing (ints, slices, None,
+    Ellipsis), which selects every element at most once."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(part is None or part is Ellipsis
+               or isinstance(part, (slice, np.integer))
+               or (isinstance(part, int) and not isinstance(part, bool))
+               for part in parts)
+
+
+def _scatter_rows(like: np.ndarray, rows: np.ndarray,
+                  grad: np.ndarray) -> np.ndarray:
+    """``np.add.at(zeros_like(like), rows, grad)`` for a (V, D) ``like``.
+
+    One 1-D scatter of every element to ``row * D + column``: repeated
+    rows accumulate in the same order as the row-wise call, so the sums
+    round the same way, without numpy's slow per-row fancy-index loop.
+    """
+    full = np.zeros_like(like)
+    width = like.shape[-1]
+    flat = rows.reshape(-1, 1) * width + np.arange(width)
+    np.add.at(full.reshape(-1), flat.reshape(-1), grad.reshape(-1))
+    return full
 
 
 class Tensor:
@@ -380,17 +409,29 @@ class Tensor:
 
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation, as in BERT)."""
-        out = self._make(fused.gelu(self.data), (self,))
+        data, tanh = fused.gelu(self.data)
+        out = self._make(data, (self,))
         if out.requires_grad:
-            def _backward(grad, a=self):
+            def _backward(grad, a=self, t=tanh):
+                # grad * (0.5 * (1 + t) + 0.5 * x * dt) with
+                # dt = (1 - t * t) * c * (1 + 3 * 0.044715 * (x * x)),
+                # step for step, on the kernel's own tanh(inner).
                 x = a.data
                 c = float(np.sqrt(2.0 / np.pi))
-                # The kernel's tanh(inner), recomputed: the same
-                # expression rounds the same way, so no forward state
-                # needs to be kept alive on the tape.
-                t = np.tanh(c * (x + 0.044715 * (x * x * x)))
-                dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * (x * x))
-                a._accumulate(grad * (0.5 * (1.0 + t) + 0.5 * x * dt))
+                dt = t * t
+                np.subtract(1.0, dt, out=dt)
+                dt *= c
+                x2 = x * x
+                x2 *= 3 * 0.044715
+                x2 += 1.0
+                dt *= x2
+                np.multiply(x, 0.5, out=x2)
+                x2 *= dt
+                g = t + 1.0
+                g *= 0.5
+                g += x2
+                g *= grad
+                a._accumulate(g)
             out._backward = _backward
         return out
 
@@ -468,7 +509,10 @@ class Tensor:
         if out.requires_grad:
             def _backward(grad, a=self, idx=index):
                 full = np.zeros_like(a.data)
-                np.add.at(full, idx, grad)
+                if _is_basic_index(idx):
+                    full[idx] += grad
+                else:
+                    np.add.at(full, idx, grad)
                 a._accumulate(full)
             out._backward = _backward
         return out
@@ -512,10 +556,7 @@ class Tensor:
         out = self._make(self.data[ids], (self,))
         if out.requires_grad:
             def _backward(grad, a=self, ids=ids):
-                full = np.zeros_like(a.data)
-                np.add.at(full, ids.reshape(-1),
-                          grad.reshape(-1, a.data.shape[-1]))
-                a._accumulate(full)
+                a._accumulate(_scatter_rows(a.data, ids, grad))
             out._backward = _backward
         return out
 
@@ -567,25 +608,35 @@ class Tensor:
     def layer_norm(self, weight: "Tensor", bias: "Tensor",
                    eps: float = 1e-5) -> "Tensor":
         """Layer normalization over the last axis."""
-        data = fused.layer_norm(self.data, weight.data, bias.data, eps=eps)
+        data, x_hat, inv = fused.layer_norm(self.data, weight.data,
+                                            bias.data, eps=eps)
         out = self._make(data, (self, weight, bias))
         if out.requires_grad:
-            def _backward(grad, a=self, w=weight, b=bias, eps=eps):
-                # The kernel's normalization, recomputed from the saved
-                # input by the same function (so the same bits).
-                centered, inv = fused.normalize(a.data, eps)
-                x_hat = centered * inv
+            def _backward(grad, a=self, w=weight, b=bias, x_hat=x_hat,
+                          inv=inv):
                 axes = tuple(range(grad.ndim - 1))
                 if w.requires_grad:
                     w._accumulate((grad * x_hat).sum(axis=axes))
                 if b.requires_grad:
                     b._accumulate(grad.sum(axis=axes))
                 if a.requires_grad:
+                    # inv * (g - mean(g) - x_hat * mean(g * x_hat)), the
+                    # means as ndarray.mean computes them (sum, then
+                    # divide by an intp count).
+                    count = np.intp(grad.shape[-1])
                     g = grad * w.data
-                    term1 = g
-                    term2 = g.mean(axis=-1, keepdims=True)
-                    term3 = x_hat * (g * x_hat).mean(axis=-1, keepdims=True)
-                    a._accumulate(inv * (term1 - term2 - term3))
+                    gx = g * x_hat
+                    mean_g = np.add.reduce(g, axis=-1, keepdims=True)
+                    np.true_divide(mean_g, count, out=mean_g,
+                                   casting="unsafe")
+                    mean_gx = np.add.reduce(gx, axis=-1, keepdims=True)
+                    np.true_divide(mean_gx, count, out=mean_gx,
+                                   casting="unsafe")
+                    np.multiply(x_hat, mean_gx, out=gx)
+                    g -= mean_g
+                    g -= gx
+                    g *= inv
+                    a._accumulate(g)
             out._backward = _backward
         return out
 
@@ -662,8 +713,8 @@ class Tensor:
                     g = g * drop
                 g = probs * (g - (g * probs).sum(axis=-1, keepdims=True))
                 if attention_mask is not None:
-                    g = np.where(np.asarray(attention_mask, dtype=bool),
-                                 0.0, g)
+                    np.copyto(g, 0.0,
+                              where=np.asarray(attention_mask, dtype=bool))
                 if score_bias is not None and score_bias.requires_grad:
                     score_bias._accumulate(
                         _unbroadcast(g, score_bias.data.shape))
@@ -713,12 +764,21 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
         self._accumulate(np.asarray(grad, dtype=self.data.dtype))
+        leaf_grads: set[int] = set()
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+            if node.grad is None:
+                continue
+            if node._parents:
                 node._backward(node.grad)
                 # Free intermediate gradients eagerly; keep leaves.
-                if node._parents:
-                    node.grad = None
+                node.grad = None
+            elif id(node.grad) in leaf_grads:
+                # ``a + b`` hands one array to both operands; a leaf
+                # gets its own copy so in-place edits of one leaf's
+                # gradient (clip_grad_norm) cannot reach another's.
+                node.grad = node.grad.copy()
+            else:
+                leaf_grads.add(id(node.grad))
 
     def zero_grad(self) -> None:
         self.grad = None
