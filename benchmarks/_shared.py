@@ -5,8 +5,10 @@ reduced ``ExperimentScale.bench()`` protocol (override with the
 REPRO_BENCH_SCALE / REPRO_BENCH_EPOCHS / REPRO_BENCH_RUNS environment
 variables).  Each run prints the rows/series the paper reports, side by
 side with the paper's numbers where applicable, and writes the same text
-to ``benchmarks/out/``.  Completed fine-tuning cells are cached in
-``.bench_cache`` so the table and figure benches share work.
+to ``benchmarks/out/``.  Completed fine-tuning cells are cached in the
+local, git-ignored ``.bench_cache/`` (``REPRO_BENCH_CACHE``) so the table
+and figure benches share work; the cell key hashes the protocol
+settings, not the code, so clear it after a change that moves training.
 
 Telemetry: ``run_once`` bookmarks the process tracer before the timed
 call, and ``emit`` writes a ``<name>.telemetry.jsonl`` sidecar next to

@@ -18,6 +18,7 @@ a transformer forward (``linear``, ``gelu``, ``softmax``, ``layer_norm``,
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
@@ -26,31 +27,39 @@ from .init import DTYPE
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Per-thread tape switch: every thread starts with recording on."""
+
+    enabled = True
+
+
+_GRAD = _GradMode()
 
 
 class no_grad:
-    """Disable tape recording (used at inference).
+    """Disable tape recording (used at inference) in the calling thread.
 
     Usable as a context manager (``with no_grad():``) or as a decorator
     (``@no_grad()``).  Nesting is safe — including re-entering the *same*
     instance — because each ``__enter__`` pushes the previous state onto
     a stack that ``__exit__`` pops, and the ``with`` protocol guarantees
-    the pop runs even when an exception escapes the block.
+    the pop runs even when an exception escapes the block.  The mode is
+    thread-local: two serving workers forwarding at once cannot restore
+    each other's saved state, and a worker's forward never switches the
+    tape off under a thread that is training.
     """
 
     def __init__(self):
         self._saved: list[bool] = []
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._saved.append(_GRAD_ENABLED)
-        _GRAD_ENABLED = False
+        self._saved.append(_GRAD.enabled)
+        _GRAD.enabled = False
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._saved.pop()
+        _GRAD.enabled = self._saved.pop()
         return False
 
     def __call__(self, func):
@@ -69,8 +78,9 @@ class no_grad:
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record backward closures."""
-    return _GRAD_ENABLED
+    """Return whether operations in this thread record backward
+    closures."""
+    return _GRAD.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -162,7 +172,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD.enabled
         self._backward = None
         self._parents: tuple[Tensor, ...] = ()
 
@@ -183,7 +193,7 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other)
 
     def _make(self, data: np.ndarray, parents: tuple["Tensor", ...]) -> "Tensor":
-        if not _GRAD_ENABLED:
+        if not _GRAD.enabled:
             # No-tape fast path: every op result is a bare array wrapper —
             # no dtype coercion (op outputs are already float arrays), no
             # parent scan, no closure slots to populate.
@@ -595,7 +605,7 @@ class Tensor:
 
     def dropout(self, p: float, rng: np.random.Generator) -> "Tensor":
         """Inverted dropout; identity when grad is disabled (inference)."""
-        if not _GRAD_ENABLED or p <= 0.0:
+        if not _GRAD.enabled or p <= 0.0:
             return self
         mask = _dropout_mask(self.data.shape, p, rng, self.data.dtype)
         out = self._make(self.data * mask, (self,))
@@ -690,7 +700,7 @@ class Tensor:
         operands = tuple(t for t in (q, k, scores, score_bias)
                          if t is not None)
         drop = None
-        if dropout > 0.0 and _GRAD_ENABLED:
+        if dropout > 0.0 and _GRAD.enabled:
             shape = (scores.shape if scores is not None
                      else q.shape[:-1] + (k.shape[-2],))
             dtype = np.result_type(*(t.data for t in operands))

@@ -11,7 +11,8 @@ hardware allows without changing a single logit:
   sequences by real token count, batch neighbors, trim right-padded
   batches to their own max length.
 * **Tokenization caching** (:mod:`repro.perf.cache`): a bounded LRU over
-  text -> token ids with hit/miss counters in :mod:`repro.obs`.
+  text -> token ids with hit/miss counters in :mod:`repro.obs`; the same
+  :class:`LRUCache` backs the serving backends' outcome memo.
 * **Benchmarking**: :mod:`repro.perf.harness` is the one bench harness
   — declarative gates, one report writer and schema check, and the
   paired A/B timer (median ratio with a bootstrap interval) — behind

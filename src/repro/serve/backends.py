@@ -14,12 +14,16 @@ stage records for backends that predate it.
 
 The service drains a chunk of queued requests and hands the whole chunk
 to the backend; the backend owns batching within the chunk, per-pair
-failure isolation, and degradation semantics.  Three implementations:
+failure isolation, and degradation semantics.  The implementations:
 
 * :class:`MatcherBackend` — the real thing: a fitted
   :class:`repro.matching.EntityMatcher` scored through its shared
-  :class:`~repro.matching.MatchEngine`, so service probabilities are
+  :class:`~repro.matching.MatchEngine`, so a pair's first scoring is
   bit-identical to ``match_many``;
+* :class:`CascadeBackend` — a :class:`~repro.matching.CascadeEngine`
+  through the same path.  Both keep a bounded outcome memo: a repeated
+  pair is answered with its first scoring's probability, without a
+  forward (``perf.outcome_cache.*`` counters, a ``memo`` stage);
 * :class:`DeepMatcherBackend` — the DeepMatcher baseline behind the
   same interface, proving the service is architecture-agnostic;
 * :class:`CallableBackend` — wraps a plain ``f(entity_a, entity_b) ->
@@ -32,6 +36,8 @@ from __future__ import annotations
 from contextlib import ExitStack
 
 from ..data import EMDataset, EntityPair, Record
+from ..obs import default_registry
+from ..perf import LRUCache
 from ..resilience import MatchOutcome, fallback_probability
 
 __all__ = ["MatcherBackend", "CascadeBackend", "DeepMatcherBackend",
@@ -42,7 +48,91 @@ def _as_record(entity) -> Record:
     return entity if isinstance(entity, Record) else Record(dict(entity))
 
 
-class MatcherBackend:
+def _entity_items(entity) -> tuple:
+    values = entity.values if isinstance(entity, Record) else entity
+    return tuple(values.items())
+
+
+def _memo_key(entity_a, entity_b):
+    """The ordered attribute content of both entities — what
+    ``_pair_texts`` serializes — or None when an entity is not a
+    mapping of hashable values (such a pair is never memoized)."""
+    try:
+        key = (_entity_items(entity_a), _entity_items(entity_b))
+        hash(key)
+    except (AttributeError, TypeError):
+        return None
+    return key
+
+
+class _EngineBackend:
+    """The shared ``score`` path of the engine-backed backends.
+
+    A bounded outcome memo sits in front of ``score_pairs``: a pair whose
+    probability this backend already computed is answered from memory
+    with no tokenize and no forward (so ``forward_hook`` does not run
+    for it), and only the misses reach the scorer — in request order,
+    in one call, in-chunk duplicates included — so a chunk of first-seen
+    pairs is scored exactly as without the memo.  Only non-degraded
+    probabilities are stored; the decision is re-derived from each
+    call's threshold.  The scorer is a snapshot whose weights never
+    change, so a hit returns the pair's first scoring.  ``memo`` is the
+    :class:`~repro.perf.LRUCache` (4096 pairs, as the token cache).
+    """
+
+    def __init__(self, scorer, batch_size: int):
+        self._scorer = scorer
+        self._batch_size = batch_size
+        self.memo = LRUCache()
+        registry = default_registry()
+        self._hits = registry.counter("perf.outcome_cache.hits")
+        self._misses = registry.counter("perf.outcome_cache.misses")
+        self._evictions = registry.counter("perf.outcome_cache.evictions")
+
+    def score(self, pairs, keys, threshold: float, fallback: bool,
+              forward_hook=None, cb=None,
+              stages=None) -> list[MatchOutcome]:
+        pairs = list(pairs)
+        keys = list(keys)
+        if len(keys) != len(pairs):
+            raise ValueError(f"{len(pairs)} pairs but {len(keys)} keys")
+        outcomes: list[MatchOutcome | None] = [None] * len(pairs)
+        with ExitStack() as scope:
+            if stages is not None:
+                record = scope.enter_context(
+                    stages.stage("memo", pairs=len(pairs)))
+            memo_keys = [_memo_key(a, b) for a, b in pairs]
+            misses = []
+            for position, memo_key in enumerate(memo_keys):
+                probability = (None if memo_key is None
+                               else self.memo.get(memo_key))
+                if probability is None:
+                    misses.append(position)
+                    continue
+                outcomes[position] = MatchOutcome(
+                    index=keys[position], probability=probability,
+                    matched=probability >= threshold)
+            if stages is not None:
+                record.attrs["hits"] = len(pairs) - len(misses)
+        self._hits.inc(len(pairs) - len(misses))
+        self._misses.inc(len(misses))
+        if not misses:
+            return outcomes
+        scored = self._scorer.score_pairs(
+            [pairs[position] for position in misses], threshold=threshold,
+            fallback=fallback, cb=cb, batch_size=self._batch_size,
+            keys=[keys[position] for position in misses],
+            forward_hook=forward_hook, stages=stages)
+        for position, outcome in zip(misses, scored):
+            outcomes[position] = outcome
+            memo_key = memo_keys[position]
+            if (memo_key is not None and not outcome.degraded
+                    and self.memo.put(memo_key, outcome.probability)):
+                self._evictions.inc()
+        return outcomes
+
+
+class MatcherBackend(_EngineBackend):
     """Serve a fitted :class:`repro.matching.EntityMatcher`.
 
     Built once per service: :meth:`~repro.matching.EntityMatcher.engine`
@@ -53,40 +143,23 @@ class MatcherBackend:
     """
 
     def __init__(self, matcher, batch_size: int = 64):
-        self._engine = matcher.engine()
-        self._batch_size = batch_size
-
-    def score(self, pairs, keys, threshold: float, fallback: bool,
-              forward_hook=None, cb=None,
-              stages=None) -> list[MatchOutcome]:
-        return self._engine.score_pairs(
-            pairs, threshold=threshold, fallback=fallback, cb=cb,
-            batch_size=self._batch_size, keys=keys,
-            forward_hook=forward_hook, stages=stages)
+        super().__init__(matcher.engine(), batch_size)
 
 
-class CascadeBackend:
+class CascadeBackend(_EngineBackend):
     """Serve a :class:`repro.matching.CascadeEngine`.
 
     The cascade follows the engine's ``score_pairs`` protocol exactly,
     so the serving, resilience and tracing tiers compose with it
-    unchanged: chunk probabilities are bit-identical to calling the
-    cascade directly, escalated requests pick up an ``escalate`` trace
-    stage, and ``cascade.*`` escalation counters accumulate in the
-    cascade's metrics registry.
+    unchanged: a chunk of first-seen pairs scores bit-identically to
+    calling the cascade directly, escalated requests pick up an
+    ``escalate`` trace stage, and ``cascade.*`` escalation counters
+    accumulate in the cascade's metrics registry (memo hits skip both
+    engines, so they count no cascade pairs).
     """
 
     def __init__(self, cascade, batch_size: int = 64):
-        self._cascade = cascade
-        self._batch_size = batch_size
-
-    def score(self, pairs, keys, threshold: float, fallback: bool,
-              forward_hook=None, cb=None,
-              stages=None) -> list[MatchOutcome]:
-        return self._cascade.score_pairs(
-            pairs, threshold=threshold, fallback=fallback, cb=cb,
-            batch_size=self._batch_size, keys=keys,
-            forward_hook=forward_hook, stages=stages)
+        super().__init__(cascade, batch_size)
 
 
 class DeepMatcherBackend:
@@ -224,13 +297,11 @@ class CallableBackend:
             try:
                 if forward_hook is not None:
                     forward_hook(keys)
-                return [MatchOutcome(index=key,
-                                     probability=float(self._fn(a, b)),
-                                     matched=float(self._fn(a, b))
-                                     >= threshold)
-                        for key, (a, b) in zip(keys, pairs)]
+                probabilities = [float(self._fn(a, b)) for a, b in pairs]
             except Exception:  # noqa: BLE001 — retry singly, like the
                 # engine
                 return [self._score_one(key, a, b, threshold, fallback,
                                         forward_hook, cb)
                         for key, (a, b) in zip(keys, pairs)]
+        return [MatchOutcome(index=key, probability=p, matched=p >= threshold)
+                for key, p in zip(keys, probabilities)]

@@ -119,9 +119,11 @@ def train_unigram(corpus: list[str], vocab_size: int,
         if len(log_probs) <= vocab_size - n_reserved:
             break
         # Prune the least useful multi-char pieces.
+        # Ties in log-prob break on the piece itself, never on hash
+        # order, so the vocabulary does not depend on PYTHONHASHSEED.
         removable = sorted(
             (piece for piece in log_probs if len(piece) > 1),
-            key=lambda piece: log_probs[piece])
+            key=lambda piece: (log_probs[piece], piece))
         target = max(len(log_probs) - vocab_size + n_reserved, 1)
         n_prune = min(max(int(len(log_probs) * prune_fraction), 1), target,
                       len(removable))
@@ -136,6 +138,7 @@ def train_unigram(corpus: list[str], vocab_size: int,
 
 
 def _estimate(freq: Counter, pieces: set[str]) -> dict[str, float]:
+    pieces = sorted(pieces)
     total = sum(freq.get(piece, 1) for piece in pieces)
     return {piece: math.log(freq.get(piece, 1) / total) for piece in pieces}
 

@@ -29,15 +29,15 @@ from hypothesis import strategies as st
 
 from repro.baselines import DeepMatcher, DeepMatcherConfig
 from repro.data import load_benchmark, split_dataset
-from repro.matching import EntityMatcher, FineTuneConfig
-from repro.obs import MetricsRegistry
+from repro.matching import CascadeEngine, EntityMatcher, FineTuneConfig
+from repro.obs import MetricsRegistry, default_registry
 from repro.perf import LRUCache, is_left_padded, plan_buckets
 from repro.resilience import ChaosConfig, ChaosMonkey
-from repro.serve import (CallableBackend, DeepMatcherBackend,
-                         MatcherBackend, MatchService, RequestTimeout,
-                         ServeConfig, ServiceClosed, ServiceOverloaded,
-                         SystemClock, VirtualClock, generate_workload,
-                         run_simulation)
+from repro.serve import (CallableBackend, CascadeBackend,
+                         DeepMatcherBackend, MatcherBackend, MatchService,
+                         RequestTimeout, ServeConfig, ServiceClosed,
+                         ServiceOverloaded, SystemClock, VirtualClock,
+                         generate_workload, run_simulation)
 from repro.utils import child_rng
 
 pytestmark = pytest.mark.serve
@@ -173,6 +173,193 @@ class TestDecisionEquivalence:
             outcome = ticket.result(timeout=60.0)
             assert outcome.probability == float(expected_probs[index])
             assert outcome.matched == bool(expected_decisions[index])
+
+
+def _counter(name):
+    return default_registry().counter(name).value
+
+
+@pytest.fixture(params=["matcher", "cascade"])
+def memo_backend(request, fitted_matchers):
+    """``(make_backend, bulk)`` for one engine-backed backend kind.
+
+    ``make_backend()`` builds a backend with a fresh memo; ``bulk(pairs)``
+    is the direct one-call scoring the backend must reproduce.  The
+    cascade's band ``(0, 1)`` escalates every pair, so a memo hit must
+    skip both forwards.
+    """
+    if request.param == "matcher":
+        matcher = fitted_matchers("bert")
+        return (lambda: MatcherBackend(matcher, batch_size=8),
+                lambda pairs: matcher.match_many(pairs, fast=True,
+                                                 batch_size=8))
+    cascade = CascadeEngine(fitted_matchers("distilbert").engine(),
+                            fitted_matchers("roberta").engine(),
+                            band=(0.0, 1.0))
+    return (lambda: CascadeBackend(cascade, batch_size=8),
+            lambda pairs: cascade.score_pairs(pairs, batch_size=8))
+
+
+class TestOutcomeMemo:
+    """The engine backends answer a pair they already scored from
+    memory, and score every first-seen pair exactly as before."""
+
+    def test_repeat_in_later_chunk_skips_forward(self, memo_backend,
+                                                 tiny_splits):
+        make_backend, _ = memo_backend
+        backend = make_backend()
+        pairs = _record_pairs(tiny_splits, 6)
+        hook_keys = []
+        first = backend.score(pairs, list(range(6)), 0.5, True,
+                              forward_hook=hook_keys.extend)
+        forwarded = len(hook_keys)
+        scored = _counter("perf.match.pairs")
+        hits = _counter("perf.outcome_cache.hits")
+        for threshold in (0.0, 0.5, 1.01):
+            keys = [100 + i for i in range(6)]
+            again = backend.score(pairs[::-1], keys, threshold, True,
+                                  forward_hook=hook_keys.extend)
+            for key, outcome, original in zip(keys, again, first[::-1]):
+                assert outcome.index == key
+                assert outcome.probability == original.probability
+                assert outcome.matched == (outcome.probability
+                                           >= threshold)
+                assert not outcome.degraded
+        assert len(hook_keys) == forwarded  # no forward ran
+        assert _counter("perf.match.pairs") == scored
+        assert _counter("perf.outcome_cache.hits") == hits + 18
+
+    def test_degraded_outcome_is_not_memoized(self, memo_backend,
+                                              tiny_splits):
+        make_backend, bulk = memo_backend
+        backend = make_backend()
+        pairs = _record_pairs(tiny_splits, 4)
+
+        def poison(batch_keys):
+            if 2 in batch_keys:
+                raise RuntimeError("chaos: poisoned forward")
+
+        first = backend.score(pairs, [0, 1, 2, 3], 0.5, True,
+                              forward_hook=poison)
+        assert [o.degraded for o in first] == [False, False, True, False]
+        hook_keys = []
+        again = backend.score(pairs, [10, 11, 12, 13], 0.5, True,
+                              forward_hook=hook_keys.extend)
+        assert set(hook_keys) == {12}  # only the degraded pair re-runs
+        assert not again[2].degraded
+        assert again[2].probability == bulk([pairs[2]])[0].probability
+        for position in (0, 1, 3):
+            assert again[position].probability \
+                == first[position].probability
+
+    def test_in_chunk_duplicates_match_bulk_bit_for_bit(self, memo_backend,
+                                                        tiny_splits):
+        make_backend, bulk = memo_backend
+        backend = make_backend()
+        distinct = _record_pairs(tiny_splits, 3)
+        pairs = [distinct[i] for i in (0, 1, 0, 2, 1, 0)]
+        misses = _counter("perf.outcome_cache.misses")
+        hook_keys = []
+        outcomes = backend.score(pairs, list(range(6)), 0.5, True,
+                                 forward_hook=hook_keys.extend)
+        assert set(hook_keys) == set(range(6))  # every duplicate forwarded
+        assert _counter("perf.outcome_cache.misses") == misses + 6
+        for outcome, expected in zip(outcomes, bulk(pairs)):
+            assert outcome.index == expected.index
+            assert outcome.probability == expected.probability  # bitwise
+            assert outcome.matched == expected.matched
+
+    def test_lru_bound_evicts(self, memo_backend):
+        make_backend, _ = memo_backend
+        backend = make_backend()
+        size = backend.memo.maxsize
+        pairs = [({"title": f"paper {i}"}, {"title": f"paper {i} x"})
+                 for i in range(size + 3)]
+        evictions = _counter("perf.outcome_cache.evictions")
+        backend.score(pairs, list(range(len(pairs))), 0.5, False)
+        assert _counter("perf.outcome_cache.evictions") == evictions + 3
+        assert len(backend.memo) == size
+        hook_keys = []
+        backend.score([pairs[0], pairs[-1]], [0, 1], 0.5, False,
+                      forward_hook=hook_keys.extend)
+        assert set(hook_keys) == {0}  # the oldest entry was evicted
+
+    def test_two_workers_serve_hot_pairs_consistently(self, memo_backend,
+                                                      tiny_splits):
+        make_backend, bulk = memo_backend
+        hot = _record_pairs(tiny_splits, 5)
+        pairs = [hot[i % len(hot)] for i in range(120)]
+        service = MatchService(
+            make_backend(),
+            ServeConfig(max_batch_size=4, max_wait_ms=5.0,
+                        max_queue=len(pairs), num_workers=2),
+            clock=VirtualClock(), registry=MetricsRegistry())
+        tickets = service.submit_many(pairs)
+        service.start()
+        service.close(drain=True)
+
+        expected = bulk(hot)
+        for i, ticket in enumerate(tickets):
+            outcome = ticket.result(timeout=60.0)
+            reference = expected[i % len(hot)]
+            assert outcome.index == ticket.request_id
+            assert not outcome.degraded
+            # Two workers may both score a pair first, in batches of
+            # other compositions: float32 rounding, same decision.
+            assert abs(outcome.probability - reference.probability) < 1e-6
+            assert outcome.matched == reference.matched
+
+    def test_memo_stage_replaces_tokenize_and_forward(self, memo_backend,
+                                                      tiny_splits):
+        make_backend, _ = memo_backend
+        backend = make_backend()
+        pair = _record_pairs(tiny_splits, 1)[0]
+        stages = []
+        for _ in range(2):  # the second service shares the warm memo
+            service = MatchService(backend, clock=VirtualClock(),
+                                   registry=MetricsRegistry())
+            service.submit(*pair)
+            service.start()
+            service.close(drain=True)
+            root, = service.tracer.snapshot()
+            stages.append({span.name: span.attrs
+                           for span, depth, _ in root.walk() if depth})
+        first, repeat = stages
+        assert first["memo"]["hits"] == 0
+        assert {"tokenize", "forward"} <= set(first)
+        assert repeat["memo"] == {"pairs": 1, "hits": 1}
+        assert not {"tokenize", "forward", "escalate"} & set(repeat)
+
+    def test_unhashable_entity_is_scored_not_memoized(self, fitted_matchers,
+                                                      tiny_splits):
+        backend = MatcherBackend(fitted_matchers("bert"), batch_size=8)
+        entity_a, entity_b = _record_pairs(tiny_splits, 1)[0]
+        pair = (dict(entity_a.values, tags=["x"]), entity_b)
+        for _ in range(2):
+            hook_keys = []
+            outcome, = backend.score([pair], [7], 0.5, True,
+                                     forward_hook=hook_keys.extend)
+            assert hook_keys == [7]
+        assert len(backend.memo) == 0
+
+
+class TestCallableBackend:
+    def test_scores_each_pair_once(self):
+        """One call per pair, and the decision comes from the same
+        probability the outcome reports — even for a scoring function
+        that answers differently on every call."""
+        answers = iter([0.9, 0.1] * 8)
+        calls = []
+
+        def flaky(entity_a, entity_b):
+            calls.append(entity_a["i"])
+            return next(answers)
+
+        outcomes = CallableBackend(flaky).score(
+            [_pair(i) for i in range(4)], [0, 1, 2, 3], 0.5, True)
+        assert calls == ["0", "1", "2", "3"]
+        assert [o.probability for o in outcomes] == [0.9, 0.1, 0.9, 0.1]
+        assert [o.matched for o in outcomes] == [True, False, True, False]
 
 
 class TestCoalescingIsPermutationInverse:

@@ -1,5 +1,7 @@
 """Autodiff core: forward values, numerical gradient checks, tape rules."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,6 +237,43 @@ class TestTape:
         out = infer(t)
         assert not out.requires_grad
         assert is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        """Two threads in overlapping ``no_grad`` blocks — A enters, B
+        enters, A leaves, B leaves — leave recording on everywhere, and
+        neither switches the tape off for a third thread."""
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = []  # the second thread's mode inside and after its block
+
+        def first():
+            with no_grad():
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+
+        def second():
+            a_in.wait(10)
+            with no_grad():
+                b_in.set()
+                seen.append(is_grad_enabled())
+                a_out.wait(10)
+            seen.append(is_grad_enabled())
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for thread in threads:
+            thread.start()
+        a_in.wait(10)
+        assert is_grad_enabled()  # the main thread, mid-block
+        for thread in threads:
+            thread.join()
+        assert seen == [False, True]
+        assert is_grad_enabled()
+        fresh = []
+        thread = threading.Thread(target=lambda: fresh.append(
+            is_grad_enabled()))
+        thread.start()
+        thread.join()
+        assert fresh == [True]
 
     def test_no_grad_nesting_restores_state(self):
         assert is_grad_enabled()

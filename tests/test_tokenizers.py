@@ -1,5 +1,11 @@
 """Tokenizers: vocab, normalization, WordPiece, BPE, unigram, pair packing."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +156,37 @@ class TestUnigram:
         clone = UnigramTokenizer.from_payload(tok.to_payload())
         text = "wireless camera battery"
         assert clone.tokenize(text) == tok.tokenize(text)
+
+
+_TRAIN_IN_CHILD = """
+import json
+from repro.pretraining import generate_corpus
+from repro.tokenizers import train_unigram
+from repro.utils import child_rng
+corpus = generate_corpus(child_rng(0, "tokenizer-corpus"), 150)
+tok = train_unigram(corpus, vocab_size=220)
+print(json.dumps({"vocab": [tok.vocab.id_to_token(i)
+                            for i in range(len(tok.vocab))],
+                  "log_probs": sorted(tok.log_probs.items())}))
+"""
+
+
+def test_unigram_training_ignores_hash_seed():
+    """Same corpus, different ``PYTHONHASHSEED``: same vocabulary and
+    piece log-probs, so ties between pieces never break in hash order."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    results = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _TRAIN_IN_CHILD],
+                              env=env, capture_output=True, text=True,
+                              check=False)
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(proc.stdout))
+    assert results[0]["vocab"] == results[1]["vocab"]
+    assert results[0]["log_probs"] == results[1]["log_probs"]
 
 
 class TestPairEncoding:
