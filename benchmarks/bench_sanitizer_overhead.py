@@ -1,13 +1,14 @@
 """Sanitizer overhead — anomaly mode must be pay-for-what-you-use.
 
-``repro.analysis.detect_anomalies`` hooks ``Tensor._make`` and
-``Tensor.backward`` only while its context is active, so a training loop
-that never enters the context must run on the pristine fast path.  This
-benchmark guards that contract on small fine-tune steps (forward +
-cross-entropy + backward + Adam step on a 2-layer BERT classifier):
+``repro.analysis.detect_anomalies`` observes the calling thread's ops
+only while its context is active, so a training loop that never enters
+the context must run on the pristine fast path.  This benchmark guards
+that contract on small fine-tune steps (forward + cross-entropy +
+backward + Adam step on a 2-layer BERT classifier):
 
-1. structurally — after a sanitized step the hooks are restored to the
-   exact original function objects, so the off path is byte-identical;
+1. structurally — ``Tensor._make`` and ``Tensor.backward`` are the exact
+   original function objects after a sanitized step (no method is ever
+   reassigned), so the off path is byte-identical;
 2. empirically — off → on → off: the paired A/B timer of
    ``repro.perf.harness`` times a block of steps right after an
    (untimed) sanitized block against a block of plain steps, and the
@@ -73,8 +74,8 @@ def test_sanitizer_off_overhead(benchmark):
 
     residual, sanitizer_on = run_once(benchmark, measure)
 
-    # Contract 1: leaving the context restores the exact fast-path
-    # functions, so "off" is structurally zero-overhead.
+    # Contract 1: the context never replaces the fast-path functions,
+    # so "off" is structurally zero-overhead.
     assert Tensor._make is pristine_make
     assert Tensor.backward is pristine_backward
 

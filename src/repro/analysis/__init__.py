@@ -14,8 +14,8 @@ framework would guard against.  This package is the guard rail
   export drift, and legacy global-RNG use.  Run it with ``repro lint``;
   ``tests/test_analysis.py`` self-lints ``src/`` in tier-1.
 * :mod:`repro.analysis.sanitize` — an opt-in anomaly mode (à la
-  ``torch.autograd.set_detect_anomaly``) that hooks ``Tensor._make`` and
-  ``Tensor.backward`` to catch NaN/Inf activations and gradients,
+  ``torch.autograd.set_detect_anomaly``) observing the calling thread's
+  tape to catch NaN/Inf activations and gradients,
   gradient shape mismatches and dead leaf parameters, raising with the
   originating op named and the active tracing-span path.
 * :mod:`repro.analysis.audit` — a gradcheck coverage auditor that

@@ -16,12 +16,12 @@ leaf parameters that the walk never reached.  Failures raise
     # -> AnomalyError: op 'log' produced a non-finite activation ...
     #    [span: fine-tune/epoch]
 
-The mode is strictly opt-in because the checks scan every array produced;
-use it to localize a NaN, not in production loops (the hot path pays
-nothing when disabled — the hooks are plain method reassignment, exactly
-like :mod:`repro.obs.profiler`).  While active, produced tensors are
-retained for provenance, so wrap one forward/backward step, not a whole
-training run.
+The block is an :class:`~repro.nn.observe.Observer`, like
+:mod:`repro.obs.profiler`: it sees the ops and backward passes of the
+thread that opened it.  The mode is strictly opt-in because the checks
+scan every array produced; use it to localize a NaN, not in production
+loops.  While active, produced tensors are retained for provenance, so
+wrap one forward/backward step, not a whole training run.
 """
 
 from __future__ import annotations
@@ -30,22 +30,11 @@ import sys
 
 import numpy as np
 
+from ..nn.observe import Observer, attached
 from ..nn.tensor import Tensor
 from ..obs.tracing import default_tracer
 
 __all__ = ["AnomalyError", "detect_anomalies", "is_sanitizing"]
-
-
-# Normalize dunder caller names to one canonical op kind (mirrors the
-# profiler's table; both hook the same _make choke point).
-_KIND_ALIASES = {
-    "__add__": "add", "__radd__": "add", "__neg__": "neg",
-    "__sub__": "sub", "__rsub__": "sub",
-    "__mul__": "mul", "__rmul__": "mul",
-    "__truediv__": "div", "__rtruediv__": "div",
-    "__pow__": "pow", "__matmul__": "matmul",
-    "__getitem__": "getitem",
-}
 
 
 class AnomalyError(RuntimeError):
@@ -75,8 +64,8 @@ class AnomalyError(RuntimeError):
 
 
 def is_sanitizing() -> bool:
-    """Whether a :class:`detect_anomalies` block is currently active."""
-    return detect_anomalies._active is not None
+    """Whether a :class:`detect_anomalies` block is open on this thread."""
+    return any(isinstance(o, detect_anomalies) for o in attached())
 
 
 def _describe(values: np.ndarray) -> str:
@@ -90,8 +79,8 @@ def _describe(values: np.ndarray) -> str:
     return f"{' + '.join(parts)} of {values.size} elements"
 
 
-class detect_anomalies:
-    """Context manager installing the sanitizer hooks.
+class detect_anomalies(Observer):
+    """Context manager that sanitizes the calling thread's tape.
 
     Parameters
     ----------
@@ -111,7 +100,7 @@ class detect_anomalies:
         default ``"raise"``.
     """
 
-    _active: "detect_anomalies | None" = None
+    exclusive = True
 
     def __init__(self, parameters=None, check_dead_leaves: bool = True,
                  check_promotion: str = "raise"):
@@ -134,9 +123,10 @@ class detect_anomalies:
         entry = self._provenance.get(id(tensor))
         return entry[1] if entry is not None else "?"
 
-    # -- checks --------------------------------------------------------
+    # -- observer events and checks ------------------------------------
 
-    def _check_forward(self, kind: str, data: np.ndarray, parents) -> None:
+    def on_op(self, kind: str, out: Tensor, parents) -> None:
+        data = out.data
         if data.dtype.kind == "f" and not np.isfinite(data).all():
             lineage = ", ".join(self._op_of(p) for p in parents) or "leaf"
             raise AnomalyError(
@@ -155,6 +145,7 @@ class detect_anomalies:
                 if self._check_promotion == "raise":
                     raise AnomalyError(message, op=kind, phase="forward")
                 print(f"detect_anomalies: {message}", file=sys.stderr)
+        self._provenance[id(out)] = (out, kind)
 
     def _check_gradient(self, grad: np.ndarray, op: str, what: str) -> None:
         if grad.dtype.kind == "f" and not np.isfinite(grad).all():
@@ -162,7 +153,7 @@ class detect_anomalies:
                 f"non-finite gradient {what} op {op!r} "
                 f"({_describe(grad)})", op=op, phase="backward")
 
-    def _wrap_closure(self, node: Tensor, fn):
+    def wrap_backward(self, node: Tensor, fn):
         kind = self._op_of(node)
 
         def _sanitized(grad, node=node, fn=fn, kind=kind, state=self):
@@ -189,7 +180,7 @@ class detect_anomalies:
 
         return _sanitized
 
-    def _check_leaves(self, root: Tensor, reachable: list[Tensor]) -> None:
+    def after_backward(self, root: Tensor, reachable: list[Tensor]) -> None:
         if self._check_dead_leaves:
             for node in reachable:
                 if (node.requires_grad and not node._parents
@@ -206,58 +197,6 @@ class detect_anomalies:
                     f"received a gradient — it is not connected to the "
                     f"loss", op="backward", phase="backward")
 
-    # -- hook install / restore ----------------------------------------
-
-    def __enter__(self) -> "detect_anomalies":
-        if detect_anomalies._active is not None:
-            raise RuntimeError("detect_anomalies() blocks may not be nested")
-        detect_anomalies._active = self
-        self._orig_make = Tensor._make
-        self._orig_backward = Tensor.backward
-
-        orig_make = self._orig_make
-        state = self
-
-        def _make_sanitized(tensor_self, data, parents):
-            caller = sys._getframe(1).f_code.co_name
-            kind = _KIND_ALIASES.get(caller, caller)
-            state._check_forward(kind, data, parents)
-            out = orig_make(tensor_self, data, parents)
-            state._provenance[id(out)] = (out, kind)
-            return out
-
-        orig_backward = self._orig_backward
-
-        def _backward_sanitized(tensor_self, grad=None):
-            # Wrap every recorded closure over the reachable graph so each
-            # gradient hand-off is checked with the op name attached.
-            wrapped: list[tuple[Tensor, object]] = []
-            reachable: list[Tensor] = []
-            stack, seen = [tensor_self], set()
-            while stack:
-                node = stack.pop()
-                if id(node) in seen:
-                    continue
-                seen.add(id(node))
-                reachable.append(node)
-                if node._backward is not None:
-                    wrapped.append((node, node._backward))
-                    node._backward = state._wrap_closure(node, node._backward)
-                stack.extend(node._parents)
-            try:
-                orig_backward(tensor_self, grad)
-            finally:
-                for node, fn in wrapped:
-                    node._backward = fn
-            state._check_leaves(tensor_self, reachable)
-
-        Tensor._make = _make_sanitized
-        Tensor.backward = _backward_sanitized
-        return self
-
     def __exit__(self, exc_type, exc, tb) -> bool:
-        Tensor._make = self._orig_make
-        Tensor.backward = self._orig_backward
         self._provenance.clear()
-        detect_anomalies._active = None
-        return False
+        return super().__exit__(exc_type, exc, tb)

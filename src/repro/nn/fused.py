@@ -13,10 +13,10 @@ layer norm, the attention core) return them next to the output: the
 tape keeps them, inference drops them.
 
 Because every forward runs through this module it is also the dispatch
-point for the hooks that must see every layer: :func:`count_kernels`
-(kernel mix on forward spans), :func:`record_activations` (int8
-calibration) and :func:`quantized_inference` (the int8 overlay, which
-reroutes :func:`linear` and :func:`attention_core` to their q-kernels).
+point for what must see every layer: :func:`count_kernels` (an
+observer of kernel calls, :mod:`repro.nn.observe`), :func:`record_activations`
+(int8 calibration) and :func:`quantized_inference` (the int8 overlay,
+which reroutes :func:`linear` and :func:`attention_core` to q-kernels).
 """
 
 from __future__ import annotations
@@ -27,44 +27,28 @@ from contextlib import contextmanager
 import numpy as np
 
 from .init import ACC_DTYPE
+from .observe import _THREAD, Observer
 
 __all__ = ["linear", "gelu", "softmax", "layer_norm",
            "attention_core", "count_kernels", "qlinear", "qattention_core",
            "quantized_inference", "record_activations"]
 
-# Thread-local kernel observation hook: when the tracing layer wants to
-# know which kernels a forward pass engaged (and how often), it
-# installs a callback for the duration of the pass.  Thread-local so
-# concurrent serving workers never see each other's counts; the
-# disabled path costs one getattr + falsy check per kernel call.
-_HOOK = threading.local()
-
 
 def _notify(kind: str) -> None:
-    fn = getattr(_HOOK, "fn", None)
-    if fn is not None:
-        fn(kind)
+    for on_kernel in _THREAD.tape.on_kernel:
+        on_kernel(kind)
 
 
-@contextmanager
-def count_kernels():
+class count_kernels(Observer, dict):
     """Count kernel invocations on this thread inside the block.
 
-    Yields a ``{kernel name: calls}`` dict that fills in as kernels run;
-    used by the serving trace layer to attach kernel mix to forward
-    spans.  Nests: the previous hook is restored on exit.
+    Yields itself, a ``{kernel name: calls}`` dict that fills in as
+    kernels run; used by the serving trace layer to attach kernel mix to
+    forward spans.  Nests: every open block counts every kernel.
     """
-    counts: dict[str, int] = {}
 
-    def bump(kind: str) -> None:
-        counts[kind] = counts.get(kind, 0) + 1
-
-    previous = getattr(_HOOK, "fn", None)
-    _HOOK.fn = bump
-    try:
-        yield counts
-    finally:
-        _HOOK.fn = previous
+    def on_kernel(self, kind: str) -> None:
+        self[kind] = self.get(kind, 0) + 1
 
 
 # Thread-local quantization state.  ``overlay`` maps id(weight array) ->
@@ -72,9 +56,9 @@ def count_kernels():
 # ``record`` accumulates per-channel activation absmax during a
 # calibration sweep.  Both piggyback on the same dispatch point so the
 # model code needs zero changes: every ``Linear`` forward funnels
-# through :func:`linear`.  Thread-local for the same
-# reason as ``_HOOK`` — concurrent serving workers must not see each
-# other's overlays.
+# through :func:`linear`.  Thread-local for the same reason as the
+# observer slot: concurrent serving workers must not see each other's
+# overlays.
 _QUANT = threading.local()
 
 
@@ -85,7 +69,7 @@ def quantized_inference(overlay):
     ``overlay`` maps ``id(weight array) -> QuantizedLinear`` (built by
     :meth:`repro.nn.QuantizedWeights.overlay_for`).  Calls whose weight
     is not in the overlay keep the float path.  Nests: the previous
-    overlay is restored on exit.  Thread-local, like the kernel hook.
+    overlay is restored on exit.  Thread-local, like the observer slot.
     """
     previous = getattr(_QUANT, "overlay", None)
     _QUANT.overlay = dict(overlay)

@@ -18,23 +18,25 @@ a transformer forward (``linear``, ``gelu``, ``softmax``, ``layer_norm``,
 from __future__ import annotations
 
 import functools
-import threading
+import sys
 
 import numpy as np
 
 from . import fused
 from .init import DTYPE
+from .observe import _THREAD
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
-
-class _GradMode(threading.local):
-    """Per-thread tape switch: every thread starts with recording on."""
-
-    enabled = True
-
-
-_GRAD = _GradMode()
+# An op's kind is the name of the method that called ``_make``, folded.
+_KIND_ALIASES = {
+    "__add__": "add", "__radd__": "add", "__neg__": "neg",
+    "__sub__": "sub", "__rsub__": "sub",
+    "__mul__": "mul", "__rmul__": "mul",
+    "__truediv__": "div", "__rtruediv__": "div",
+    "__pow__": "pow", "__matmul__": "matmul",
+    "__getitem__": "getitem",
+}
 
 
 class no_grad:
@@ -54,12 +56,12 @@ class no_grad:
         self._saved: list[bool] = []
 
     def __enter__(self):
-        self._saved.append(_GRAD.enabled)
-        _GRAD.enabled = False
+        self._saved.append(_THREAD.tape.enabled)
+        _THREAD.tape.enabled = False
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _GRAD.enabled = self._saved.pop()
+        _THREAD.tape.enabled = self._saved.pop()
         return False
 
     def __call__(self, func):
@@ -80,7 +82,7 @@ class no_grad:
 def is_grad_enabled() -> bool:
     """Return whether operations in this thread record backward
     closures."""
-    return _GRAD.enabled
+    return _THREAD.tape.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -172,7 +174,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _GRAD.enabled
+        self.requires_grad = bool(requires_grad) and _THREAD.tape.enabled
         self._backward = None
         self._parents: tuple[Tensor, ...] = ()
 
@@ -193,7 +195,13 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other)
 
     def _make(self, data: np.ndarray, parents: tuple["Tensor", ...]) -> "Tensor":
-        if not _GRAD.enabled:
+        tape = _THREAD.tape
+        if tape.enabled:
+            out = Tensor(data)
+            if any(p.requires_grad for p in parents):
+                out.requires_grad = True
+                out._parents = parents
+        else:
             # No-tape fast path: every op result is a bare array wrapper —
             # no dtype coercion (op outputs are already float arrays), no
             # parent scan, no closure slots to populate.
@@ -203,11 +211,11 @@ class Tensor:
             out.requires_grad = False
             out._backward = None
             out._parents = ()
-            return out
-        out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
+        if tape.on_op:
+            kind = sys._getframe(1).f_code.co_name
+            kind = _KIND_ALIASES.get(kind, kind)
+            for on_op in tape.on_op:
+                on_op(kind, out, parents)
         return out
 
     # -- basic properties ----------------------------------------------------
@@ -605,7 +613,7 @@ class Tensor:
 
     def dropout(self, p: float, rng: np.random.Generator) -> "Tensor":
         """Inverted dropout; identity when grad is disabled (inference)."""
-        if not _GRAD.enabled or p <= 0.0:
+        if not _THREAD.tape.enabled or p <= 0.0:
             return self
         mask = _dropout_mask(self.data.shape, p, rng, self.data.dtype)
         out = self._make(self.data * mask, (self,))
@@ -700,7 +708,7 @@ class Tensor:
         operands = tuple(t for t in (q, k, scores, score_bias)
                          if t is not None)
         drop = None
-        if dropout > 0.0 and _GRAD.enabled:
+        if dropout > 0.0 and _THREAD.tape.enabled:
             shape = (scores.shape if scores is not None
                      else q.shape[:-1] + (k.shape[-2],))
             dtype = np.result_type(*(t.data for t in operands))
@@ -758,6 +766,9 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar output")
             grad = np.ones_like(self.data)
+        observers = _THREAD.tape.observers
+        for observer in observers:
+            observer.on_backward(self)
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -779,7 +790,10 @@ class Tensor:
             if node.grad is None:
                 continue
             if node._parents:
-                node._backward(node.grad)
+                step = node._backward
+                for observer in observers:
+                    step = observer.wrap_backward(node, step)
+                step(node.grad)
                 # Free intermediate gradients eagerly; keep leaves.
                 node.grad = None
             elif id(node.grad) in leaf_grads:
@@ -789,6 +803,8 @@ class Tensor:
                 node.grad = node.grad.copy()
             else:
                 leaf_grads.add(id(node.grad))
+        for observer in observers:
+            observer.after_backward(self, topo)
 
     def zero_grad(self) -> None:
         self.grad = None

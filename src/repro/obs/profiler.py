@@ -1,11 +1,12 @@
 """Op-level profiler for the ``repro.nn`` autodiff substrate.
 
-Hooks :meth:`Tensor._make` — the single choke point every differentiable
-op flows through — to count ops, estimated FLOPs and bytes produced, per
-op kind (the kind is the name of the ``Tensor`` method that called
-``_make``: ``matmul``, ``softmax``, ``layer_norm``, ...).  Also hooks
-:meth:`Tensor.backward`, attributing the standard 2x-forward FLOP
-estimate to the ops recorded since the previous backward call (training
+An :class:`~repro.nn.observe.Observer` on the calling thread: every
+differentiable op, tape on or off, reports to it from
+:meth:`Tensor._make`, and it counts ops, estimated FLOPs and bytes
+produced per op kind (the name of the ``Tensor`` method that recorded
+the op: ``matmul``, ``softmax``, ``layer_norm``, ...).  Each
+:meth:`Tensor.backward` call is attributed the standard 2x-forward FLOP
+estimate of the ops recorded since the previous backward call (training
 loops interleave forward and backward, so that delta is the graph the
 backward pass walks).
 
@@ -19,16 +20,15 @@ Usage::
 
 FLOP numbers are *estimates* (documented per kind in
 :data:`_ELEMENTWISE_FACTORS`); they exist to rank hot ops and compare
-runs, not to benchmark hardware.  Profiling is process-global and may
-not be nested.
+runs, not to benchmark hardware.  A profile sees the ops of the thread
+that opened it; one thread may not nest two.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
-from ..nn.tensor import Tensor
+from ..nn.observe import Observer
 
 __all__ = ["OpStats", "OpProfile", "profile"]
 
@@ -55,16 +55,6 @@ _ELEMENTWISE_FACTORS = {
 # Pure data movement: zero FLOPs, but bytes still count.
 _MOVEMENT = {"reshape", "transpose", "getitem", "embedding", "concat",
              "stack"}
-
-# Normalize dunder/variant caller names to one canonical op kind.
-_KIND_ALIASES = {
-    "__add__": "add", "__radd__": "add", "__neg__": "neg",
-    "__sub__": "sub", "__rsub__": "sub",
-    "__mul__": "mul", "__rmul__": "mul",
-    "__truediv__": "div", "__rtruediv__": "div",
-    "__pow__": "pow", "__matmul__": "matmul",
-    "__getitem__": "getitem",
-}
 
 
 def _estimate_flops(kind: str, out_size: int, parents) -> float:
@@ -94,15 +84,15 @@ def _estimate_flops(kind: str, out_size: int, parents) -> float:
     return _ELEMENTWISE_FACTORS.get(kind, 1.0) * out_size
 
 
-class OpProfile:
-    """Result of one :func:`profile` block."""
+class OpProfile(Observer):
+    """Result of one :func:`profile` block, filled in as it observes."""
+
+    exclusive = True
 
     def __init__(self):
         self.ops: dict[str, OpStats] = {}
-        self._forward_flops = 0.0
-        self._forward_bytes = 0.0
-        self._flops_at_backward = 0.0
-        self._bytes_at_backward = 0.0
+        # Forward FLOPs and bytes recorded since the last backward call.
+        self._pending = OpStats()
 
     @property
     def total_calls(self) -> int:
@@ -116,7 +106,8 @@ class OpProfile:
     def total_bytes(self) -> float:
         return sum(s.bytes for s in self.ops.values())
 
-    def _record(self, kind: str, data, parents) -> None:
+    def on_op(self, kind: str, out, parents) -> None:
+        data = out.data
         stats = self.ops.get(kind)
         if stats is None:
             stats = self.ops[kind] = OpStats()
@@ -124,18 +115,17 @@ class OpProfile:
         flops = _estimate_flops(kind, data.size, parents)
         stats.flops += flops
         stats.bytes += data.nbytes
-        self._forward_flops += flops
-        self._forward_bytes += data.nbytes
+        self._pending.flops += flops
+        self._pending.bytes += data.nbytes
 
-    def _record_backward(self) -> None:
+    def on_backward(self, root) -> None:
         stats = self.ops.get("backward")
         if stats is None:
             stats = self.ops["backward"] = OpStats()
         stats.calls += 1
-        stats.flops += 2.0 * (self._forward_flops - self._flops_at_backward)
-        stats.bytes += 2.0 * (self._forward_bytes - self._bytes_at_backward)
-        self._flops_at_backward = self._forward_flops
-        self._bytes_at_backward = self._forward_bytes
+        stats.flops += 2.0 * self._pending.flops
+        stats.bytes += 2.0 * self._pending.bytes
+        self._pending = OpStats()
 
     def as_dict(self) -> dict[str, dict]:
         """JSON-ready ``{kind: {calls, flops, bytes}}``, hottest first."""
@@ -154,44 +144,7 @@ class OpProfile:
                             title="op profile (estimated)")
 
 
-class profile:
-    """Context manager that installs the ``Tensor`` hooks.
-
-    ``with profile() as prof:`` yields the live :class:`OpProfile`; the
-    hooks are removed (original methods restored) on exit, even on error.
-    """
-
-    _active = False
-
-    def __enter__(self) -> OpProfile:
-        if profile._active:
-            raise RuntimeError("profile() blocks may not be nested")
-        profile._active = True
-        prof = OpProfile()
-        self._profile = prof
-        self._orig_make = Tensor._make
-        self._orig_backward = Tensor.backward
-
-        orig_make = self._orig_make
-
-        def _make_profiled(tensor_self, data, parents):
-            caller = sys._getframe(1).f_code.co_name
-            kind = _KIND_ALIASES.get(caller, caller)
-            prof._record(kind, data, parents)
-            return orig_make(tensor_self, data, parents)
-
-        orig_backward = self._orig_backward
-
-        def _backward_profiled(tensor_self, grad=None):
-            prof._record_backward()
-            return orig_backward(tensor_self, grad)
-
-        Tensor._make = _make_profiled
-        Tensor.backward = _backward_profiled
-        return prof
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        Tensor._make = self._orig_make
-        Tensor.backward = self._orig_backward
-        profile._active = False
-        return False
+def profile() -> OpProfile:
+    """``with profile() as prof:`` counts the calling thread's ops into
+    the live :class:`OpProfile` ``prof`` until the block exits."""
+    return OpProfile()

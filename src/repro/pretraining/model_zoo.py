@@ -19,6 +19,7 @@ distilbert     triple-loss distillation from the cached BERT teacher
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -48,6 +49,19 @@ _TOKENIZER_CLASSES = {
 }
 
 
+@functools.cache
+def _code_digest() -> str:
+    """sha256 of the code that decides a checkpoint's vocabulary and
+    weights, so entries trained by older code are never served."""
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for package in ("tokenizers", "pretraining", "models", "nn"):
+        for path in sorted((root / package).rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 @dataclass
 class ZooSettings:
     """Scale knobs for zoo checkpoints (shared across architectures)."""
@@ -66,7 +80,8 @@ class ZooSettings:
 
     def cache_key(self, arch: str, seed: int) -> str:
         payload = json.dumps({"arch": arch, "seed": seed,
-                              **self.__dict__}, sort_keys=True)
+                              "code": _code_digest(), **self.__dict__},
+                             sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

@@ -19,6 +19,7 @@ from repro.analysis import (AnomalyError, audit_coverage, available_rules,
                             module_classes, tensor_ops)
 from repro.cli import main
 from repro.nn import Tensor
+from repro.nn.observe import attached
 from repro.obs import trace
 
 pytestmark = pytest.mark.analysis
@@ -460,11 +461,12 @@ class TestSanitizer:
         with pytest.raises(AnomalyError):
             with detect_anomalies():
                 assert is_sanitizing()
-                assert Tensor._make is not orig_make
+                assert Tensor._make is orig_make
                 _nan_op(Tensor(np.ones(2), requires_grad=True))
         assert Tensor._make is orig_make
         assert Tensor.backward is orig_backward
         assert not is_sanitizing()
+        assert attached() == ()
 
     def test_nesting_forbidden(self):
         with detect_anomalies():

@@ -7,9 +7,12 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis import AnomalyError, detect_anomalies, is_sanitizing
 from repro.cli import main
 from repro.matching import FineTuneConfig, FineTuneResult, fine_tune
 from repro.nn import Tensor
+from repro.nn.fused import count_kernels
+from repro.nn.observe import attached
 from repro.obs import (JsonlSink, LoggingCallback,
                        MemorySink, MetricsRegistry, NullSink,
                        TelemetryCallback, TelemetryRun, Tracer,
@@ -289,20 +292,24 @@ class TestProfiler:
         assert "softmax" in prof.ops
         assert not any(k.startswith("__") for k in prof.ops)
 
-    def test_hooks_restored_after_exit(self):
+    def test_methods_kept_and_slot_empty_after_exit(self):
         original_make = Tensor._make
         original_backward = Tensor.backward
-        with profile():
-            assert Tensor._make is not original_make
+        with profile() as prof:
+            assert Tensor._make is original_make
+            assert Tensor.backward is original_backward
+            assert attached() == (prof,)
         assert Tensor._make is original_make
         assert Tensor.backward is original_backward
+        assert attached() == ()
 
-    def test_hooks_restored_on_error(self):
+    def test_slot_empty_after_error(self):
         original_make = Tensor._make
         with pytest.raises(RuntimeError, match="boom"):
             with profile():
                 raise RuntimeError("boom")
         assert Tensor._make is original_make
+        assert attached() == ()
 
     def test_nesting_rejected(self):
         with profile():
@@ -315,6 +322,94 @@ class TestProfiler:
             _ = Tensor(np.ones((2, 2))) @ Tensor(np.ones((2, 2)))
         table = prof.table()
         assert "matmul" in table and "MFLOPs" in table
+
+
+@pytest.mark.analysis
+class TestObserverSlot:
+    """The profiler, the tape sanitizer and the kernel counter share one
+    per-thread observer slot."""
+
+    def test_count_kernels_nest(self):
+        with count_kernels() as outer:
+            Tensor(np.ones(4)).softmax()
+            with count_kernels() as inner:
+                Tensor(np.ones(4)).gelu()
+            Tensor(np.ones(4)).softmax()
+        assert inner == {"gelu": 1}
+        assert outer == {"softmax": 2, "gelu": 1}
+        assert attached() == ()
+
+    def test_stacked_observers_each_see_every_event(self):
+        with profile() as prof, detect_anomalies(), \
+                count_kernels() as kernels:
+            x = Tensor(np.array([0.0, 1.0]), requires_grad=True)
+            y = (x ** 0.5 + x.softmax()).sum()
+            with pytest.raises(AnomalyError) as err, \
+                    np.errstate(divide="ignore"):
+                y.backward()
+        # The sanitizer saw the op and checked its backward closure.
+        assert err.value.op == "pow" and err.value.phase == "backward"
+        assert {kind: stats.calls for kind, stats in prof.ops.items()} == {
+            "pow": 1, "softmax": 1, "add": 1, "sum": 1, "backward": 1}
+        assert kernels == {"softmax": 1}
+        assert attached() == ()
+
+    def test_out_of_order_exit_across_threads(self):
+        sanitizing, profiling, sanitizer_done = (
+            threading.Event() for _ in range(3))
+        seen: dict[str, object] = {}
+        errors: list[BaseException] = []
+
+        def sanitized_thread():
+            try:
+                with detect_anomalies() as sanitizer:
+                    Tensor(np.ones(3)).tanh()
+                    sanitizing.set()
+                    profiling.wait(10)
+                    seen["sanitizer_ops"] = sorted(
+                        kind for _, kind in sanitizer._provenance.values())
+                # Exit first, while the other thread's profile is open.
+                seen["sanitizer_slot"] = attached()
+            except Exception as exc:  # surfaced by the main thread
+                errors.append(exc)
+            finally:
+                sanitizer_done.set()
+
+        def profiled_thread():
+            try:
+                sanitizing.wait(10)
+                with profile() as prof:
+                    # A NaN op here is not the sanitizer's business.
+                    with np.errstate(invalid="ignore"):
+                        Tensor(np.array([np.inf])) * 0.0
+                    profiling.set()
+                    sanitizer_done.wait(10)
+                    Tensor(np.ones(3)) + 1.0
+                seen["profile_ops"] = {kind: stats.calls
+                                       for kind, stats in prof.ops.items()}
+                seen["profile_slot"] = attached()
+            except Exception as exc:
+                errors.append(exc)
+            finally:
+                profiling.set()
+
+        threads = [threading.Thread(target=sanitized_thread),
+                   threading.Thread(target=profiled_thread)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert seen["profile_ops"] == {"mul": 1, "add": 1}
+        assert seen["sanitizer_ops"] == ["tanh"]
+        assert seen["sanitizer_slot"] == seen["profile_slot"] == ()
+        # Nothing is left installed: a NaN op raises nothing here.
+        with np.errstate(invalid="ignore"):
+            nan = Tensor(np.array([np.inf])) * 0.0
+        assert np.isnan(nan.data).all()
+        assert attached() == ()
+        assert not is_sanitizing()
 
 
 class TestCallbacks:

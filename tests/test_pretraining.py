@@ -10,6 +10,7 @@ from repro.pretraining import (DistillationRecipe, IGNORE_INDEX,
                                get_pretrained, mask_tokens, pretrain,
                                sample_permutation_batch)
 from repro.pretraining.corpus import generate_labeled_documents
+from repro.pretraining import model_zoo
 from repro.pretraining.model_zoo import _train_tokenizer
 from repro.models import default_config
 from repro.utils import child_rng
@@ -191,6 +192,21 @@ class TestTrainerAndZoo:
     def test_xlnet_checkpoint(self, tiny_xlnet):
         assert tiny_xlnet.config.arch == "xlnet"
         assert tiny_xlnet.tokenizer.cls_at_end
+
+    def test_zoo_key_follows_code_digest(self, tmp_path, tiny_settings,
+                                         monkeypatch):
+        first = get_pretrained("bert", seed=2, settings=tiny_settings,
+                               zoo_dir=tmp_path)
+        assert not first.from_cache
+        stable = get_pretrained("bert", seed=2, settings=tiny_settings,
+                                zoo_dir=tmp_path)
+        assert stable.from_cache
+        # Changed tokenizer/pre-training/model code: the old entry misses.
+        monkeypatch.setattr(model_zoo, "_code_digest", lambda: "0" * 64)
+        changed = get_pretrained("bert", seed=2, settings=tiny_settings,
+                                 zoo_dir=tmp_path)
+        assert not changed.from_cache
+        assert len(list(tmp_path.glob("bert-*.tokenizer.json"))) == 2
 
     def test_clear_zoo(self, tmp_path, tiny_settings):
         get_pretrained("bert", seed=1, settings=tiny_settings,
