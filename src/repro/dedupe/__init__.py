@@ -9,16 +9,18 @@ here), and match edges transitively cluster into stable entity ids.
 
 from .catalog import (CATALOG_SCHEMA, Catalog, catalog_noise_profile,
                       generate_catalog)
-from .cluster import UnionFind, adjusted_rand_index, connected_components
-from .pipeline import (DedupeConfig, DedupeResult, dedupe_records,
-                       load_clusters, write_clusters)
-from .similarity import SimilarityEngine
+from .cluster import (UnionFind, adjusted_rand_index, connected_components,
+                      pairwise_scores)
+from .pipeline import (CandidatePairs, DedupeConfig, DedupeResult,
+                       dedupe_records, load_clusters, write_clusters)
+from .similarity import ScoredPairs, SimilarityEngine
 
 __all__ = [
     "Catalog", "generate_catalog", "catalog_noise_profile",
     "CATALOG_SCHEMA",
     "UnionFind", "connected_components", "adjusted_rand_index",
-    "DedupeConfig", "DedupeResult", "dedupe_records",
+    "pairwise_scores",
+    "CandidatePairs", "DedupeConfig", "DedupeResult", "dedupe_records",
     "write_clusters", "load_clusters",
-    "SimilarityEngine",
+    "ScoredPairs", "SimilarityEngine",
 ]

@@ -19,6 +19,10 @@ and unioning the candidate pairs; ``cluster``: ``dedupe.cluster``) and
 the process's peak resident set size so far (``peak_rss_mb``, from
 ``getrusage``; it covers every stage run before it).  Those timings
 are single-shot and informational: no gate compares two timed paths.
+The dedupe section also scores its clusters against the catalog's gold
+entities (``quality``: pairwise precision, recall and F1, the adjusted
+Rand index and the largest cluster against the largest gold one).
+These are reported, not gated.
 The report is written through :mod:`repro.perf.harness` to
 ``BENCH_blocking.json``.
 """
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import resource
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -35,6 +40,7 @@ from ..data.blocking import (MinHashLSHBlocker, SortedNeighborhoodBlocker,
 from ..obs.tracing import aggregate_spans, default_tracer
 from ..perf.harness import Gate, build_report
 from .catalog import generate_catalog
+from .cluster import adjusted_rand_index, pairwise_scores
 from .pipeline import DedupeConfig, dedupe_records
 from .similarity import SimilarityEngine
 
@@ -147,6 +153,8 @@ def run_blocking_benchmark(num_records: int = 100_000, seed: int = 7,
                 for stage in _GATE_STAGES)
     block_score = spans.get("dedupe.block_score", {}).get("total", 0.0)
     streamed = result.max_candidate_batch <= CANDIDATE_BATCH
+    gold = large.gold_labels()
+    precision, recall, f1 = pairwise_scores(result.entity_ids, gold)
     dedupe = {
         "records": result.num_records,
         "candidates": result.num_candidates,
@@ -165,6 +173,14 @@ def run_blocking_benchmark(num_records: int = 100_000, seed: int = 7,
                 spans.get("dedupe.cluster", {}).get("total", 0.0), 3)},
         "peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "quality": {
+            "pairwise_precision": round(precision, 6),
+            "pairwise_recall": round(recall, 6),
+            "pairwise_f1": round(f1, 6),
+            "adjusted_rand_index": round(
+                adjusted_rand_index(result.entity_ids, gold), 6),
+            "largest_cluster": max(Counter(result.entity_ids).values()),
+            "largest_gold_cluster": max(Counter(gold).values())},
     }
     gates = [
         Gate("pairs_completeness", gate["pairs_completeness"],
@@ -212,4 +228,13 @@ def _summary(config: dict, comparison: dict, gate: dict,
         f"{dedupe['max_candidate_batch']}/"
         f"{dedupe['candidate_batch_limit']}, peak RSS "
         f"{dedupe['peak_rss_mb']} MB")
+    quality = dedupe["quality"]
+    lines.append(
+        f"  clusters vs gold (reported, not gated): pairwise "
+        f"P {quality['pairwise_precision']:.4f}, "
+        f"R {quality['pairwise_recall']:.4f}, "
+        f"F1 {quality['pairwise_f1']:.4f}, "
+        f"ARI {quality['adjusted_rand_index']:.4f}, largest cluster "
+        f"{quality['largest_cluster']} "
+        f"(gold {quality['largest_gold_cluster']})")
     return lines

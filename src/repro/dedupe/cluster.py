@@ -11,14 +11,17 @@ same ids regardless of edge arrival order.
 
 :func:`adjusted_rand_index` scores a recovered clustering against gold
 (Hubert & Arabie 1985) — 1.0 is exact recovery, ~0.0 is chance level.
+:func:`pairwise_scores` gives the pairwise precision, recall and F1 of
+the record pairs a clustering places together.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from typing import Iterable
 
-__all__ = ["UnionFind", "connected_components", "adjusted_rand_index"]
+__all__ = ["UnionFind", "connected_components", "adjusted_rand_index",
+           "pairwise_scores"]
 
 
 class UnionFind:
@@ -80,6 +83,33 @@ def connected_components(size: int,
     return forest.labels()
 
 
+def _together(labels: Iterable) -> int:
+    """Item pairs that share a label."""
+    return sum(count * (count - 1) // 2
+               for count in Counter(labels).values())
+
+
+def pairwise_scores(predicted: list[int],
+                    gold: list[int]) -> tuple[float, float, float]:
+    """Pairwise ``(precision, recall, f1)`` of a clustering against gold.
+
+    A record pair counts as predicted when ``predicted`` puts both in one
+    cluster, and as true when ``gold`` does; a side with no pairs scores
+    1.0 (nothing claimed, or nothing to find).
+    """
+    if len(predicted) != len(gold):
+        raise ValueError(
+            f"clusterings disagree on size: {len(predicted)} vs "
+            f"{len(gold)}")
+    both = _together(zip(predicted, gold))
+    claimed, true = _together(predicted), _together(gold)
+    precision = both / claimed if claimed else 1.0
+    recall = both / true if true else 1.0
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision + recall else 0.0)
+    return precision, recall, f1
+
+
 def adjusted_rand_index(labels_a: list[int], labels_b: list[int]) -> float:
     """Chance-corrected agreement of two clusterings of the same items."""
     if len(labels_a) != len(labels_b):
@@ -89,21 +119,10 @@ def adjusted_rand_index(labels_a: list[int], labels_b: list[int]) -> float:
     n = len(labels_a)
     if n < 2:
         return 1.0
-    contingency: dict[tuple[int, int], int] = defaultdict(int)
-    count_a: dict[int, int] = defaultdict(int)
-    count_b: dict[int, int] = defaultdict(int)
-    for a, b in zip(labels_a, labels_b):
-        contingency[(a, b)] += 1
-        count_a[a] += 1
-        count_b[b] += 1
-
-    def _pairs(count: int) -> int:
-        return count * (count - 1) // 2
-
-    index = sum(_pairs(c) for c in contingency.values())
-    sum_a = sum(_pairs(c) for c in count_a.values())
-    sum_b = sum(_pairs(c) for c in count_b.values())
-    total = _pairs(n)
+    index = _together(zip(labels_a, labels_b))
+    sum_a = _together(labels_a)
+    sum_b = _together(labels_b)
+    total = n * (n - 1) // 2
     expected = sum_a * sum_b / total if total else 0.0
     maximum = (sum_a + sum_b) / 2.0
     if maximum == expected:

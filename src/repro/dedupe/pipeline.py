@@ -10,10 +10,16 @@ ids in three streamed stages:
    ``score_pairs`` protocol (:class:`repro.matching.MatchEngine` via
    :meth:`EntityMatcher.engine`, :class:`repro.matching.CascadeEngine`,
    or the model-free :class:`repro.dedupe.SimilarityEngine`);
-3. **cluster** — each batch's match flags are read once into an
-   array, only the matched edges fold into a :class:`UnionFind`
-   incrementally, and the transitive closure becomes min-index entity
-   ids.
+3. **cluster** — each batch's match flags are read as a column, only
+   the matched edges fold into a :class:`UnionFind` incrementally, and
+   the transitive closure becomes min-index entity ids.
+
+The engine receives each batch as a :class:`CandidatePairs`: to any
+engine a sequence of ``(record_a, record_b)`` tuples; to a columnar
+one (:class:`repro.dedupe.SimilarityEngine`) also the ``records``, the
+batch's two index columns and a cache that lives for the run.  An
+engine whose outcomes expose ``matched`` / ``degraded`` arrays is read
+from those; any other outcome list is read once into arrays.
 
 Peak memory is the blocker's index plus one candidate batch: the
 pipeline holds at most ``config.candidate_batch`` pairs at a time and
@@ -38,8 +44,8 @@ from ..obs.tracing import trace
 from ..utils import atomic_write_text
 from .cluster import UnionFind
 
-__all__ = ["DedupeConfig", "DedupeResult", "dedupe_records",
-           "write_clusters", "load_clusters"]
+__all__ = ["CandidatePairs", "DedupeConfig", "DedupeResult",
+           "dedupe_records", "write_clusters", "load_clusters"]
 
 #: Artifact schema version for cluster files.
 CLUSTERS_SCHEMA = 1
@@ -60,6 +66,51 @@ class DedupeConfig:
                 f"threshold must be in [0, 1], got {self.threshold}")
         if self.batch_size < 1 or self.candidate_batch < 1:
             raise ValueError("batch sizes must be >= 1")
+
+
+class CandidatePairs:
+    """One candidate batch as the pair sequence an engine scores.
+
+    Iterates and indexes as ``(records[index_a[k]], records[index_b[k]])``
+    tuples, so engines that read pairs (``MatchEngine``, the cascade)
+    take it as they take a list.  A columnar engine reads ``records``,
+    ``index_a`` and ``index_b`` instead, and keeps what it derives from
+    ``records`` (a token table) in ``cache``, which one
+    :func:`dedupe_records` run shares across all of its batches.
+    """
+
+    __slots__ = ("records", "index_a", "index_b", "cache")
+
+    def __init__(self, records: list, index_a: np.ndarray,
+                 index_b: np.ndarray, cache: dict):
+        self.records = records
+        self.index_a = index_a
+        self.index_b = index_b
+        self.cache = cache
+
+    def __len__(self) -> int:
+        return len(self.index_a)
+
+    def __getitem__(self, position: int) -> tuple:
+        return (self.records[self.index_a[position]],
+                self.records[self.index_b[position]])
+
+    def __iter__(self):
+        return zip(map(self.records.__getitem__, self.index_a.tolist()),
+                   map(self.records.__getitem__, self.index_b.tolist()))
+
+
+def _flags(outcomes) -> tuple[np.ndarray, np.ndarray]:
+    """The ``matched`` and ``degraded`` columns of a batch's outcomes."""
+    matched = getattr(outcomes, "matched", None)
+    degraded = getattr(outcomes, "degraded", None)
+    if isinstance(matched, np.ndarray) and isinstance(degraded, np.ndarray):
+        return matched, degraded
+    outcomes = list(outcomes)
+    return (np.fromiter((o.matched for o in outcomes), dtype=bool,
+                        count=len(outcomes)),
+            np.fromiter((o.degraded for o in outcomes), dtype=bool,
+                        count=len(outcomes)))
 
 
 @dataclass
@@ -102,6 +153,7 @@ def dedupe_records(records, blocker: Blocker, engine,
     registry = registry if registry is not None else default_registry()
     records = list(records)
     forest = UnionFind(len(records))
+    cache: dict = {}
     num_candidates = 0
     num_matches = 0
     num_degraded = 0
@@ -117,27 +169,23 @@ def dedupe_records(records, blocker: Blocker, engine,
                 num_candidates += len(batch)
                 registry.counter("blocking.candidates").inc(len(batch))
                 registry.counter("blocking.batches").inc()
-                left = batch.index_a.tolist()
-                right = batch.index_b.tolist()
-                pairs = list(zip(map(records.__getitem__, left),
-                                 map(records.__getitem__, right)))
+                pairs = CandidatePairs(records, batch.index_a,
+                                       batch.index_b, cache)
                 outcomes = engine.score_pairs(
                     pairs, threshold=config.threshold,
                     fallback=config.fallback,
                     batch_size=config.batch_size,
                     keys=list(range(len(pairs))))
                 registry.counter("dedupe.pairs_scored").inc(len(outcomes))
-                matched = np.fromiter((o.matched for o in outcomes),
-                                      dtype=bool, count=len(outcomes))
-                degraded = int(np.fromiter(
-                    (o.degraded for o in outcomes), dtype=bool,
-                    count=len(outcomes)).sum())
+                matched, degraded = _flags(outcomes)
+                degraded = int(np.count_nonzero(degraded))
                 if degraded:
                     num_degraded += degraded
                     registry.counter("dedupe.degraded").inc(degraded)
-                edges = np.flatnonzero(matched).tolist()
-                for k in edges:
-                    forest.union(left[k], right[k])
+                edges = np.flatnonzero(matched)
+                for a, b in zip(batch.index_a[edges].tolist(),
+                                batch.index_b[edges].tolist()):
+                    forest.union(a, b)
                 num_matches += len(edges)
                 registry.counter("dedupe.matches").inc(len(edges))
                 if cb is not None:

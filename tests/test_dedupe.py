@@ -18,13 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import MinHashLSHBlocker, TokenBlocker
+from repro.data.blocking import Blocker
 from repro.data.generators._base import NoiseProfile
-from repro.dedupe import (Catalog, DedupeConfig, DedupeResult,
-                          SimilarityEngine, UnionFind,
+from repro.data.records import Record
+from repro.dedupe import (CandidatePairs, Catalog, DedupeConfig,
+                          DedupeResult, SimilarityEngine, UnionFind,
                           adjusted_rand_index, catalog_noise_profile,
                           connected_components, dedupe_records,
-                          generate_catalog, load_clusters, write_clusters)
-from repro.dedupe.similarity import _jaccard
+                          generate_catalog, load_clusters, pairwise_scores,
+                          write_clusters)
+from repro.dedupe.similarity import TokenTable, _jaccard
 from repro.obs import MetricsRegistry
 from repro.resilience.fallback import MatchOutcome
 
@@ -53,6 +56,40 @@ def _golden_run(tmp_path, name):
     path = tmp_path / name
     write_clusters(path, result)
     return catalog, result, path
+
+
+class FixedBlocker(Blocker):
+    """Emits a fixed list of ``(i, j)`` candidates, whatever the records."""
+
+    def __init__(self, pairs):
+        self._pairs = pairs
+
+    def _iter_pairs(self, records_a, records_b):
+        return iter(self._pairs)
+
+
+class CountingRecord(Record):
+    """A record that counts its ``text_blob`` calls."""
+
+    calls = 0
+
+    def text_blob(self, attributes=None, separator=" "):
+        self.calls += 1
+        return super().text_blob(attributes, separator)
+
+
+def _column_outcomes(engine, pairs, **kwargs):
+    """Score ``pairs`` the way ``dedupe_records`` hands them over: the
+    distinct entities as ``records`` plus two index columns."""
+    records, rows = [], {}
+    for entity in (e for pair in pairs for e in pair):
+        if id(entity) not in rows:
+            rows[id(entity)] = len(records)
+            records.append(entity)
+    index_a = np.array([rows[id(a)] for a, _ in pairs], dtype=np.int64)
+    index_b = np.array([rows[id(b)] for _, b in pairs], dtype=np.int64)
+    return engine.score_pairs(
+        CandidatePairs(records, index_a, index_b, {}), **kwargs)
 
 
 def _bfs_closure(size, edges):
@@ -154,6 +191,29 @@ class TestAdjustedRandIndex:
         assert ari == pytest.approx(adjusted_rand_index(second, labels))
 
 
+class TestPairwiseScores:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), size=st.integers(0, 12))
+    def test_equal_brute_force_pair_counts(self, data, size):
+        labels = st.lists(st.integers(0, 3), min_size=size,
+                          max_size=size)
+        predicted, gold = data.draw(labels), data.draw(labels)
+        pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+        claimed = {p for p in pairs if predicted[p[0]] == predicted[p[1]]}
+        true = {p for p in pairs if gold[p[0]] == gold[p[1]]}
+        precision, recall, f1 = pairwise_scores(predicted, gold)
+        both = len(claimed & true)
+        assert precision == (both / len(claimed) if claimed else 1.0)
+        assert recall == (both / len(true) if true else 1.0)
+        assert 0.0 <= f1 <= 1.0
+        if predicted == gold:
+            assert f1 == 1.0
+
+    def test_size_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            pairwise_scores([0, 0], [0])
+
+
 class TestGenerateCatalog:
     def test_deterministic_for_seed(self):
         a = generate_catalog(80, seed=9)
@@ -234,23 +294,44 @@ class TestSimilarityEngine:
 
     @pytest.mark.parametrize("scorer", ["jaccard", "blend"])
     def test_memoized_outcomes_equal_per_pair_probability(self, scorer):
-        # Pairs repeat the same record objects (the memo's hit path) and
-        # mix in plain mappings; every outcome must equal the unmemoized
-        # per-pair probability bit for bit.
+        # Pairs repeat the same record objects (one table row each) and
+        # mix in plain mappings, empty texts, non-ASCII case and the
+        # separators str.split honours; both the per-call table and the
+        # column path dedupe_records takes must equal the per-pair
+        # reference probability bit for bit.
         records = generate_catalog(40, seed=9).records
         mapping = {"title": "apexon phone zx100", "brand": "apexon"}
+        odd = [Record({"title": ""}), {"title": "", "brand": ""},
+               Record({"title": "STRASSE Stra\u00dfe \u00c9t\u00c9"}),
+               Record({"title": "stra\u00dfe strasse \u00e9t\u00e9"}),
+               {"title": "apexon\x1cphone\u3000zx100\u2028black"},
+               {"title": "apexon phone", "brand": "ZX100  black"}]
         pairs = ([(records[i], records[(7 * i) % 40]) for i in range(40)]
                  + [(records[i], records[i + 1]) for i in range(39)]
                  + [(mapping, records[3]), (records[3], mapping),
-                    (mapping, mapping)])
+                    (mapping, mapping)]
+                 + [(a, b) for a in odd for b in odd + [mapping]])
         engine = SimilarityEngine(scorer=scorer)
-        outcomes = engine.score_pairs(pairs, threshold=0.4)
-        assert len(outcomes) == len(pairs)
-        for outcome, (a, b) in zip(outcomes, pairs):
-            expected = engine._probability(a, b)
-            assert outcome.probability == expected
-            assert outcome.matched == (expected >= 0.4)
-            assert not outcome.degraded
+        for outcomes in (engine.score_pairs(pairs, threshold=0.4),
+                         _column_outcomes(engine, pairs, threshold=0.4)):
+            assert len(outcomes) == len(pairs)
+            assert [o.index for o in outcomes] == list(range(len(pairs)))
+            for outcome, (a, b) in zip(outcomes, pairs):
+                expected = engine._probability(a, b)
+                assert outcome.probability == expected
+                assert outcome.matched == (expected >= 0.4)
+                assert not outcome.degraded
+            np.testing.assert_array_equal(
+                outcomes.matched, [o.matched for o in outcomes])
+        if scorer == "jaccard":
+            # The cases the odd records are there for: an empty pair
+            # scores 0.0, "\x1c" and the Unicode spaces separate tokens,
+            # and lower-casing "STRASSE" does not make it "stra\u00dfe".
+            assert engine._probability(odd[0], odd[1]) == 0.0
+            assert engine._probability(odd[4], odd[5]) == 1.0
+            assert engine._probability(odd[2], odd[3]) == 1.0
+            assert engine._features(odd[2]) == {"strasse", "stra\u00dfe",
+                                                "\u00e9t\u00e9"}
 
     @settings(max_examples=200, deadline=None)
     @given(tokens_a=st.sets(st.text(alphabet="abcd", max_size=2),
@@ -262,6 +343,14 @@ class TestSimilarityEngine:
         expected = len(tokens_a & tokens_b) / union if union else 0.0
         assert _jaccard(tokens_a, tokens_b) == expected
         assert _jaccard(tokens_b, tokens_a) == expected
+        # The column kernel over a table of both sets, in both orders
+        # and against themselves.
+        table = TokenTable([tokens_a, tokens_b])
+        column = table.jaccard(np.array([0, 1, 0, 1]),
+                               np.array([1, 0, 0, 1]))
+        assert column.tolist() == [
+            expected, expected, _jaccard(tokens_a, tokens_a),
+            _jaccard(tokens_b, tokens_b)]
 
     @pytest.mark.parametrize("scorer", ["jaccard", "blend"])
     def test_failing_entity_degrades_only_its_pairs(self, scorer):
@@ -283,6 +372,42 @@ class TestSimilarityEngine:
                 assert outcome.probability == 0.0
             else:
                 assert outcome.probability == engine._probability(a, b)
+
+
+    def test_outcome_assignment_writes_the_columns(self):
+        # The cascade replaces escalated outcomes in place.
+        pairs = [({"title": "a b"}, {"title": "a b"}),
+                 ({"title": "a b"}, {"title": "a c"})]
+        outcomes = SimilarityEngine(scorer="jaccard").score_pairs(pairs)
+        outcomes[1] = MatchOutcome(index=1, probability=0.9, matched=True)
+        outcomes[0] = MatchOutcome(index=0, probability=0.0, matched=False,
+                                   degraded=True, error="chosen")
+        assert outcomes.matched.tolist() == [False, True]
+        assert outcomes.degraded.tolist() == [True, False]
+        assert outcomes[0].error == "chosen"
+        assert outcomes[-1] == MatchOutcome(index=1, probability=0.9,
+                                            matched=True)
+
+    def test_jaccard_cascade_escalates_into_the_columns(self):
+        from repro.matching import CascadeEngine
+        catalog = generate_catalog(60, seed=5)
+        pairs = [(catalog.records[i], catalog.records[j])
+                 for i in range(60) for j in range(i + 1, 60, 7)]
+        jaccard = SimilarityEngine(scorer="jaccard")
+        blend = SimilarityEngine(scorer="blend")
+        outcomes = CascadeEngine(jaccard, blend, (0.2, 0.6),
+                                 registry=MetricsRegistry()).score_pairs(
+            pairs, threshold=0.5)
+        escalated = 0
+        for outcome, (a, b) in zip(outcomes, pairs):
+            expected = jaccard._probability(a, b)
+            if 0.2 < expected < 0.6:
+                expected = blend._probability(a, b)
+                escalated += 1
+            assert outcome.probability == expected
+        assert 0 < escalated < len(pairs)
+        assert outcomes.matched.tolist() == [
+            o.probability >= 0.5 for o in outcomes]
 
 
 class TestDedupePipeline:
@@ -424,6 +549,69 @@ class TestDedupePipeline:
                                   config, registry=MetricsRegistry())
         assert result.entity_ids != baseline.entity_ids
 
+    @pytest.mark.parametrize("scorer", ["jaccard", "blend"])
+    def test_failing_record_degrades_only_its_pairs(self, scorer):
+        # A None record degrades its own pairs in dedupe_records, with
+        # the error score_pairs gives for it; the rest score as usual.
+        good = {"title": "apexon phone zx100"}
+        other = {"title": "apexon phone zx100 black"}
+        records = [good, None, other, good]
+        candidates = [(0, 1), (0, 2), (1, 2), (2, 3), (1, 3), (0, 3)]
+        seen = []
+
+        class RecordingEngine(SimilarityEngine):
+            def score_pairs(self, pairs, **kwargs):
+                outcomes = super().score_pairs(pairs, **kwargs)
+                seen.extend(outcomes)
+                return outcomes
+
+        engine = RecordingEngine(scorer=scorer)
+        expected = engine.score_pairs(
+            [(records[i], records[j]) for i, j in candidates])
+        seen.clear()
+        registry = MetricsRegistry()
+        result = dedupe_records(records, FixedBlocker(candidates), engine,
+                                DedupeConfig(candidate_batch=4),
+                                registry=registry)
+        assert [o.degraded for o in expected] == [
+            1 in pair for pair in candidates]
+        assert all(o.error for o in expected if o.degraded)
+        assert [(o.probability, o.matched, o.degraded, o.error)
+                for o in seen] == [
+            (o.probability, o.matched, o.degraded, o.error)
+            for o in expected]
+        assert result.num_degraded == 3
+        assert registry.snapshot()["dedupe.degraded"]["value"] == 3
+        assert result.entity_ids == connected_components(
+            4, [pair for pair, o in zip(candidates, expected)
+                if o.matched])
+        assert result.entity_ids[1] == 1
+
+    def test_features_extracted_once_per_run(self):
+        # The scorer's token table lives for the run: a record's text is
+        # serialized by the blocker and at most once more for scoring,
+        # however many candidate batches it appears in.
+        catalog = generate_catalog(300, seed=6)
+        blocker = MinHashLSHBlocker()
+        records = [CountingRecord(dict(r.values)) for r in catalog.records]
+        for batch in blocker.iter_candidates(records):
+            pass
+        blocked = [r.calls for r in records]
+        for record in records:
+            record.calls = 0
+        config = DedupeConfig(candidate_batch=64)
+        result = dedupe_records(records, blocker,
+                                SimilarityEngine(scorer="jaccard"), config,
+                                registry=MetricsRegistry())
+        assert result.batches >= 3
+        scored = [r.calls - b for r, b in zip(records, blocked)]
+        assert max(scored) <= 1
+        # ... while the records of the batches it spans do recur.
+        rows = [np.union1d(batch.index_a, batch.index_b)
+                for batch in blocker.iter_candidates(records,
+                                                     batch_size=64)]
+        assert np.bincount(np.concatenate(rows)).max() > 1
+
     def test_pinned_cluster_artifact_digest(self, tmp_path):
         # sha256 of the write_clusters artifact, taken from the per-pair
         # candidate stream (CandidatePair lists) and per-outcome union.
@@ -515,6 +703,16 @@ class TestBenchSmoke:
         assert sum(dedupe["stage_seconds"].values()) <= (
             dedupe["seconds"] + 0.01)
         assert dedupe["peak_rss_mb"] > 0.0
+        quality = dedupe["quality"]
+        assert set(quality) == {"pairwise_precision", "pairwise_recall",
+                                "pairwise_f1", "adjusted_rand_index",
+                                "largest_cluster", "largest_gold_cluster"}
+        assert all(0.0 < quality[key] <= 1.0 for key in (
+            "pairwise_precision", "pairwise_recall", "pairwise_f1",
+            "adjusted_rand_index"))
+        assert quality["largest_cluster"] >= 1
+        assert any(line.startswith("  clusters vs gold")
+                   for line in report["summary"])
 
     def test_measure_counts_gold_like_evaluate_blocking(self):
         from repro.data import evaluate_blocking
