@@ -1,4 +1,4 @@
-"""Inference throughput — fast path, int8 kernels and the cascade.
+"""Inference throughput — fast path and the cascade.
 
 Times ``match_many`` for every architecture on the same workload
 (dblp-acm record pairs, each unique pair matched twice so the
@@ -9,10 +9,7 @@ A/B timer of ``repro.perf.harness``:
    against serial per-pair matching without the cache, through the
    same tape-off forward; the per-architecture floor is judged on the
    lower end of the median ratio's bootstrap interval;
-2. int8 vs. float — the fast path over calibrated per-channel
-   quantized weights (gated on decision consistency with the float
-   path, not speed);
-3. cascade vs. RoBERTa serial — DistilBERT screens every pair,
+2. cascade vs. RoBERTa serial — DistilBERT screens every pair,
    ambiguous ones escalate to RoBERTa; the aggregate floor is >= 4x
    with cascade F1 within tolerance of RoBERTa-only.
 

@@ -1,19 +1,16 @@
-"""Quantize, calibrate and serve the DistilBERT→RoBERTa cascade.
+"""Calibrate and serve the DistilBERT→RoBERTa cascade.
 
 The paper's Table 5 ordering — DistilBERT fastest but weakest, RoBERTa
 slowest but best — is exactly the shape a confidence cascade exploits:
 let the cheap model decide every pair it is sure about and reserve the
 expensive model for the ambiguous band.  This example walks the whole
-performance-v2 pipeline end to end:
+cascade pipeline end to end:
 
 1. fine-tune DistilBERT and RoBERTa on dblp-acm at reduced scale (tiny
    settings, so the first run takes seconds on CPU);
-2. calibrate int8 per-channel quantized weights for the DistilBERT
-   primary and gate them on decision consistency against the float
-   path;
-3. calibrate the ambiguity band on the validation split and time the
+2. calibrate the ambiguity band on the validation split and time the
    cascade against serial RoBERTa on the test pairs;
-4. stand the cascade up behind a :class:`repro.serve.MatchService` and
+3. stand the cascade up behind a :class:`repro.serve.MatchService` and
    show the ``cascade.*`` escalation telemetry it records.
 
     python examples/cascade_matching.py
@@ -55,21 +52,10 @@ def main() -> None:
     primary = fitted("distilbert", splits)
     secondary = fitted("roberta", splits)
 
-    print("\nCalibrating int8 weights for the DistilBERT primary ...")
-    train_pairs = [(p.record_a, p.record_b) for p in splits.train.pairs]
-    primary.quantize(train_pairs[:48])
-    report = primary.quantization_consistency(train_pairs[48:96])
-    weights = primary.quantized_weights
-    print(f"  {len(weights.layers)} layers, "
-          f"{weights.nbytes / 1024:.0f} KiB artifact")
-    print(f"  decision consistency {report.consistency:.3f} on "
-          f"{report.pairs} held-out pairs "
-          f"(max probability delta {report.max_probability_delta:.1e})")
-
     print("\nCalibrating the ambiguity band on the validation split ...")
     registry = MetricsRegistry()
     cascade = build_cascade(primary, secondary, splits.validation,
-                            quantized=True, registry=registry)
+                            registry=registry)
     band = cascade.calibration
     print(f"  band [{band.lo:.3f}, {band.hi:.3f}] escalates "
           f"{band.escalation_rate * 100.0:.1f}% of validation pairs "

@@ -15,10 +15,6 @@ Commands
     (resume with ``--resume`` or ``repro resume``).  With ``--cascade``
     a DistilBERT primary screens every pair first and only pairs inside
     the calibrated ambiguity band escalate to the named architecture.
-``calibrate``
-    Fit an architecture, calibrate int8 per-channel quantized weights on
-    training pairs, gate decision consistency on a held-out slice, and
-    save the artifact (non-zero exit if the gate fails).
 ``resume``
     Continue an interrupted ``match --checkpoint-dir`` run from its
     newest verifiable snapshot (bit-identical to the uninterrupted run).
@@ -137,28 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "primary screens every pair and only ambiguous "
                         "ones escalate to ARCH (the band is calibrated "
                         "on the validation split to preserve F1)")
-
-    p = sub.add_parser("calibrate",
-                       help="calibrate int8 quantized weights for an "
-                            "architecture and save the artifact")
-    p.add_argument("arch", choices=["bert", "roberta", "distilbert",
-                                    "xlnet"])
-    p.add_argument("dataset", choices=benchmark_names())
-    p.add_argument("--scale", type=float, default=0.08)
-    p.add_argument("--epochs", type=int, default=4)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--pairs", type=int, default=64,
-                   help="calibration sweep size; an equal held-out "
-                        "slice gates decision consistency (default 64)")
-    p.add_argument("--output", default=None,
-                   help="artifact path (default: "
-                        "<arch>-<dataset>-int8.npz)")
-    p.add_argument("--zoo-dir", default=None,
-                   help="model-zoo cache directory (default: "
-                        "REPRO_ZOO_DIR or ~/.cache/repro/zoo)")
-    p.add_argument("--smoke", action="store_true",
-                   help="use a tiny pre-training scale (CI smoke checks; "
-                        "accuracy is meaningless at this scale)")
 
     p = sub.add_parser("resume",
                        help="continue an interrupted `match "
@@ -428,42 +402,6 @@ def _run_cascade(args) -> int:
     return 0
 
 
-def _cmd_calibrate(args) -> int:
-    from .matching import EntityMatcher, FineTuneConfig
-    from .obs import LoggingCallback
-    data = load_benchmark(args.dataset, seed=args.seed, scale=args.scale)
-    splits = split_dataset(data, child_rng(args.seed, "split"))
-    matcher = EntityMatcher(
-        args.arch, finetune_config=FineTuneConfig(epochs=args.epochs),
-        zoo_settings=_smoke_zoo_settings() if args.smoke else None,
-        zoo_dir=args.zoo_dir)
-    matcher.fit(splits.train, splits.validation,
-                callbacks=LoggingCallback(print))
-
-    pairs = [(p.record_a, p.record_b) for p in splits.train.pairs]
-    count = max(1, min(args.pairs, len(pairs) // 2 or 1))
-    calibration = pairs[:count]
-    holdout = pairs[count:2 * count] or calibration
-    matcher.quantize(calibration)
-    report = matcher.quantization_consistency(holdout)
-
-    weights = matcher.quantized_weights
-    output = args.output or f"{args.arch}-{args.dataset}-int8.npz"
-    weights.save(output)
-    print(f"calibrated {len(weights.layers)} layers on "
-          f"{len(calibration)} pairs; artifact "
-          f"{weights.nbytes / 1024:.0f} KiB -> {output}")
-    print(f"decision consistency {report.consistency:.3f} on "
-          f"{report.pairs} held-out pairs (max probability delta "
-          f"{report.max_probability_delta:.2e})")
-    if not report.passed():
-        print("error: int8 decisions diverge from the float path on the "
-              "held-out slice — artifact saved but not fit for serving",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_resume(args) -> int:
     from .nn import CheckpointError
     from .resilience import CheckpointManager
@@ -705,7 +643,6 @@ _COMMANDS = {
     "generate": _cmd_generate,
     "pretrain": _cmd_pretrain,
     "match": _cmd_match,
-    "calibrate": _cmd_calibrate,
     "resume": _cmd_resume,
     "table": _cmd_table,
     "figure": _cmd_figure,

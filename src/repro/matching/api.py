@@ -17,8 +17,7 @@ import numpy as np
 
 from ..data import EMDataset, EntityPair, Record
 from ..models import ARCHITECTURES
-from ..nn import (ConsistencyReport, QuantizedWeights,
-                  calibrate_quantization, decision_consistency, no_grad)
+from ..nn import no_grad
 from ..obs import CallbackList
 from ..perf import TokenizationCache, ensure_token_cache
 from ..pretraining import PretrainedModel, ZooSettings, get_pretrained
@@ -64,7 +63,6 @@ class EntityMatcher:
         self._result: FineTuneResult | None = None
         self._schema: list[str] | None = None
         self._text_attributes: list[str] | None = None
-        self._quantized: QuantizedWeights | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -187,8 +185,7 @@ class EntityMatcher:
     def match_many(self, pairs, threshold: float = 0.5,
                    fallback: bool = True,
                    callbacks=None, fast: bool | None = None,
-                   batch_size: int = 64,
-                   quantized: bool = False) -> list[MatchOutcome]:
+                   batch_size: int = 64) -> list[MatchOutcome]:
         """Match a batch of ``(entity_a, entity_b)`` pairs, isolating
         per-pair failures.
 
@@ -209,23 +206,17 @@ class EntityMatcher:
         are identical on both paths: an encode failure degrades that
         pair immediately; a batch forward failure retries each member
         individually before degrading the ones that still fail.
-
-        ``quantized=True`` routes the fast engine through the calibrated
-        int8 kernels (requires a prior :meth:`quantize` /
-        :meth:`load_quantized`; incompatible with ``fast=False``).
         """
         self._require_fitted()
         if fast is None:
             fast = "match_probability" not in self.__dict__
-        if quantized and not fast:
-            raise ValueError("quantized matching requires the fast "
-                             "engine (fast=False was forced)")
         cb = CallbackList.resolve(callbacks)
         pairs = list(pairs)
         if not fast:
             return self._match_many_serial(pairs, threshold, fallback, cb)
-        return self._match_many_fast(pairs, threshold, fallback, cb,
-                                     batch_size, quantized=quantized)
+        return self.engine().score_pairs(
+            pairs, threshold=threshold, fallback=fallback, cb=cb,
+            batch_size=batch_size)
 
     def _match_many_serial(self, pairs, threshold: float, fallback: bool,
                            cb) -> list[MatchOutcome]:
@@ -244,94 +235,14 @@ class EntityMatcher:
                 index, entity_a, entity_b, error, threshold, fallback, cb))
         return outcomes
 
-    def engine(self, quantized: bool = False) -> MatchEngine:
+    def engine(self) -> MatchEngine:
         """The bucketed batch-scoring engine for this fitted matcher.
 
         This is the exact implementation behind ``match_many``'s fast
         path; :class:`repro.serve.MatchService` drives the same engine
         so served probabilities are bit-identical to ``match_many``.
-        ``quantized=True`` binds the calibrated int8 artifact (see
-        :meth:`quantize`) so forwards take the int8 kernels.
         """
         result = self._require_fitted()
         self.ensure_token_cache()
-        overlay = None
-        if quantized:
-            if self._quantized is None:
-                raise RuntimeError(
-                    "no quantized weights: call quantize() or "
-                    "load_quantized() first")
-            overlay = self._quantized.overlay_for(result.classifier)
         return MatchEngine(self._pair_texts, self.pretrained.tokenizer,
-                           result.classifier, result.max_length,
-                           quantized=overlay)
-
-    def _match_many_fast(self, pairs, threshold: float, fallback: bool,
-                         cb, batch_size: int,
-                         quantized: bool = False) -> list[MatchOutcome]:
-        """Bucketed batch engine behind :meth:`match_many`."""
-        return self.engine(quantized=quantized).score_pairs(
-            pairs, threshold=threshold, fallback=fallback, cb=cb,
-            batch_size=batch_size)
-
-    # -- quantization --------------------------------------------------------
-
-    @property
-    def quantized_weights(self) -> QuantizedWeights | None:
-        """The calibrated int8 artifact, once built or loaded."""
-        return self._quantized
-
-    def quantize(self, calibration_pairs,
-                 batch_size: int = 64) -> QuantizedWeights:
-        """Calibrate int8 per-channel quantization on representative pairs.
-
-        Sweeps ``calibration_pairs`` through the tape-off forward under
-        the activation recorder, quantizes every weight the sweep touched
-        (:func:`repro.nn.calibrate_quantization`), stores the artifact
-        on this matcher, and returns it.  Engage it with
-        ``engine(quantized=True)`` / ``match_many(quantized=True)``;
-        gate acceptance with :meth:`quantization_consistency` on pairs
-        held out from calibration.
-        """
-        result = self._require_fitted()
-        calibration_pairs = list(calibration_pairs)
-        if not calibration_pairs:
-            raise ValueError("quantize() needs calibration pairs")
-        engine = self.engine()
-
-        def sweep() -> None:
-            engine.score_pairs(calibration_pairs, fallback=False,
-                               batch_size=batch_size)
-
-        self._quantized = calibrate_quantization(
-            result.classifier, sweep,
-            metadata={"arch": self.arch,
-                      "calibration_pairs": len(calibration_pairs),
-                      "max_length": result.max_length})
-        return self._quantized
-
-    def load_quantized(self, path) -> QuantizedWeights:
-        """Load a saved :class:`repro.nn.QuantizedWeights` artifact."""
-        self._require_fitted()
-        self._quantized = QuantizedWeights.load(path)
-        return self._quantized
-
-    def quantization_consistency(self, holdout_pairs,
-                                 threshold: float = 0.5,
-                                 batch_size: int = 64) -> ConsistencyReport:
-        """Decision-consistency acceptance gate on held-out pairs.
-
-        Scores ``holdout_pairs`` (pairs *not* used for calibration)
-        through the float and int8 engines and compares decisions; the
-        artifact should only ship when the returned report
-        :meth:`~repro.nn.ConsistencyReport.passed` at the configured
-        floor.
-        """
-        holdout_pairs = list(holdout_pairs)
-        reference = self.engine().score_pairs(
-            holdout_pairs, threshold=threshold, fallback=False,
-            batch_size=batch_size)
-        quantized = self.engine(quantized=True).score_pairs(
-            holdout_pairs, threshold=threshold, fallback=False,
-            batch_size=batch_size)
-        return decision_consistency(reference, quantized)
+                           result.classifier, result.max_length)

@@ -7,7 +7,7 @@ whose probability lands inside a calibrated **ambiguity band**
 ``(lo, hi)`` escalate to the expensive *secondary*.  Outside the band
 the primary's decision is already confident and is returned untouched —
 bit-identical to primary-only matching (pinned by property tests in
-``tests/test_quant.py``).
+``tests/test_cascade.py``).
 
 Band selection (:func:`calibrate_band`) is empirical, on validation
 data: both models score the validation pairs once, then the smallest
@@ -74,8 +74,17 @@ def calibrate_band(primary_probs, secondary_probs, labels,
     (narrowest → cheapest) band whose F1 is within ``tolerance`` of
     secondary-only F1 is returned.  Falls back to the widest candidate
     (escalate everything ambiguous) when none qualifies — the cascade
-    then simply matches the secondary on every contested pair.
+    then simply matches the secondary on every contested pair.  Bands
+    are clipped to [0, 1], so an off-centre threshold still yields a
+    band :class:`CascadeEngine` accepts.
+
+    Raises ``ValueError`` for ``steps < 1`` (no candidate band) and for
+    a ``threshold`` outside [0, 1] (no valid band is centred on it).
     """
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     primary = np.asarray(primary_probs, dtype=float)
     secondary = np.asarray(secondary_probs, dtype=float)
     gold = np.asarray(labels, dtype=int)
@@ -89,7 +98,7 @@ def calibrate_band(primary_probs, secondary_probs, labels,
     widths = np.linspace(0.0, max(threshold, 1.0 - threshold), steps)
     chosen = None
     for width in widths:
-        lo, hi = threshold - width, threshold + width
+        lo, hi = max(threshold - width, 0.0), min(threshold + width, 1.0)
         escalated = (primary > lo) & (primary < hi)
         decisions = np.where(escalated, secondary_decisions,
                              primary_decisions)
@@ -182,8 +191,7 @@ class CascadeEngine:
 
 def build_cascade(primary, secondary, validation,
                   threshold: float = 0.5, tolerance: float = 0.005,
-                  batch_size: int = 64, quantized: bool = False,
-                  registry=None) -> CascadeEngine:
+                  batch_size: int = 64, registry=None) -> CascadeEngine:
     """Calibrate and assemble a cascade from two fitted matchers.
 
     ``primary`` / ``secondary`` are fitted
@@ -191,13 +199,11 @@ def build_cascade(primary, secondary, validation,
     DistilBERT and RoBERTa); ``validation`` an :class:`EMDataset` held
     out from fine-tuning.  Both models score the validation pairs once,
     :func:`calibrate_band` picks the narrowest F1-preserving band, and
-    the returned :class:`CascadeEngine` wraps both engines —
-    ``quantized=True`` additionally routes the primary through its
-    calibrated int8 kernels (requires ``primary.quantize(...)`` first).
+    the returned :class:`CascadeEngine` wraps both engines.
     """
     pairs = [(pair.record_a, pair.record_b) for pair in validation.pairs]
     labels = validation.labels()
-    primary_engine = primary.engine(quantized=quantized)
+    primary_engine = primary.engine()
     secondary_engine = secondary.engine()
     primary_probs = [outcome.probability for outcome in
                      primary_engine.score_pairs(pairs, fallback=False,

@@ -36,7 +36,7 @@ from contextlib import ExitStack
 
 import numpy as np
 
-from ..nn import no_grad, quantized_inference
+from ..nn import no_grad
 from ..nn.fused import count_kernels
 from ..obs import default_registry
 from ..resilience import MatchOutcome, fallback_probability
@@ -64,21 +64,14 @@ class MatchEngine:
     registry:
         Metrics registry for the ``perf.match.*`` phase gauges
         (defaults to the process-wide registry).
-    quantized:
-        Optional ``{id(weight array): QuantizedLinear}`` overlay (from
-        :meth:`repro.nn.QuantizedWeights.overlay_for`).  When set, the
-        forward section — including single-row retries — runs under
-        :func:`repro.nn.quantized_inference`, so every linear the overlay
-        covers takes the int8 path.
     """
 
     def __init__(self, pair_texts, tokenizer, classifier, max_length: int,
-                 registry=None, quantized=None):
+                 registry=None):
         self._pair_texts = pair_texts
         self._tokenizer = tokenizer
         self._classifier = classifier
         self._max_length = max_length
-        self._quantized = quantized
         self._registry = registry if registry is not None \
             else default_registry()
 
@@ -158,11 +151,6 @@ class MatchEngine:
                 # wiring it into the record up front is safe.
                 record.attrs["kernels"] = scope.enter_context(
                     count_kernels())
-            if self._quantized is not None:
-                # Covers the batched forwards AND the per-row retry
-                # path below — a retried pair must not silently fall
-                # back to float and diverge from its batch neighbors.
-                scope.enter_context(quantized_inference(self._quantized))
             if encodings:
                 encoded = EncodedPairs(
                     np.stack([e.input_ids for e in encodings]),

@@ -12,26 +12,19 @@ the tape off.  Kernels whose backward needs forward intermediates (GELU,
 layer norm, the attention core) return them next to the output: the
 tape keeps them, inference drops them.
 
-Because every forward runs through this module it is also the dispatch
-point for what must see every layer: :func:`count_kernels` (an
-observer of kernel calls, :mod:`repro.nn.observe`), :func:`record_activations`
-(int8 calibration) and :func:`quantized_inference` (the int8 overlay,
-which reroutes :func:`linear` and :func:`attention_core` to q-kernels).
+Because every forward runs through this module it is also the one
+place that sees every layer: :func:`count_kernels` (an observer of
+kernel calls, :mod:`repro.nn.observe`) counts them here.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-
 import numpy as np
 
-from .init import ACC_DTYPE
 from .observe import _THREAD, Observer
 
 __all__ = ["linear", "gelu", "softmax", "layer_norm",
-           "attention_core", "count_kernels", "qlinear", "qattention_core",
-           "quantized_inference", "record_activations"]
+           "attention_core", "count_kernels"]
 
 
 def _notify(kind: str) -> None:
@@ -51,101 +44,14 @@ class count_kernels(Observer, dict):
         self[kind] = self.get(kind, 0) + 1
 
 
-# Thread-local quantization state.  ``overlay`` maps id(weight array) ->
-# QuantizedLinear and reroutes linear calls through the int8 kernels;
-# ``record`` accumulates per-channel activation absmax during a
-# calibration sweep.  Both piggyback on the same dispatch point so the
-# model code needs zero changes: every ``Linear`` forward funnels
-# through :func:`linear`.  Thread-local for the same reason as the
-# observer slot: concurrent serving workers must not see each other's
-# overlays.
-_QUANT = threading.local()
-
-
-@contextmanager
-def quantized_inference(overlay):
-    """Route linear calls through the int8 kernels inside the block.
-
-    ``overlay`` maps ``id(weight array) -> QuantizedLinear`` (built by
-    :meth:`repro.nn.QuantizedWeights.overlay_for`).  Calls whose weight
-    is not in the overlay keep the float path.  Nests: the previous
-    overlay is restored on exit.  Thread-local, like the observer slot.
-    """
-    previous = getattr(_QUANT, "overlay", None)
-    _QUANT.overlay = dict(overlay)
-    try:
-        yield
-    finally:
-        _QUANT.overlay = previous
-
-
-@contextmanager
-def record_activations():
-    """Record per-channel input absmax of every :func:`linear` call.
-
-    Yields a ``{id(weight array): absmax per input channel}`` dict that
-    fills in as the calibration sweep runs; maxima accumulate across
-    calls so one sweep over representative pairs yields the activation
-    range of each call site.
-    """
-    previous = getattr(_QUANT, "record", None)
-    ranges: dict[int, np.ndarray] = {}
-    _QUANT.record = ranges
-    try:
-        yield ranges
-    finally:
-        _QUANT.record = previous
-
-
-def _record_absmax(ranges: dict[int, np.ndarray], weight: np.ndarray,
-                   x: np.ndarray) -> None:
-    absmax = np.abs(x).reshape(-1, x.shape[-1]).max(axis=0)
-    prior = ranges.get(id(weight))
-    if prior is not None:
-        absmax = np.maximum(prior, absmax)
-    ranges[id(weight)] = absmax
-
-
 def linear(x: np.ndarray, weight: np.ndarray,
            bias: np.ndarray | None = None) -> np.ndarray:
     """Affine map ``x @ W^T + b`` with ``W`` stored (out, in): the
     forward of :meth:`Tensor.linear`."""
-    overlay = getattr(_QUANT, "overlay", None)
-    if overlay is not None:
-        quantized = overlay.get(id(weight))
-        if quantized is not None:
-            return qlinear(x, quantized)
-    ranges = getattr(_QUANT, "record", None)
-    if ranges is not None:
-        _record_absmax(ranges, weight, x)
     _notify("linear")
     out = x @ weight.T
     if bias is not None:
         out += bias  # matmul output is owned; += is bitwise a + b
-    return out
-
-
-def qlinear(x: np.ndarray, quantized) -> np.ndarray:
-    """int8 per-channel affine map with float32 accumulation.
-
-    ``quantized`` is a :class:`repro.nn.QuantizedLinear`: int8 weight
-    payload ``q`` with per-output-channel scales and a calibrated
-    per-tensor activation scale.  The input is fake-quantized to the
-    int8 grid (round + clip at ±127), the contraction runs in
-    ``ACC_DTYPE`` over the cached float copy of the payload (NEP 50
-    would promote a raw int8 operand mixed with python floats to
-    float64 — RA119 guards that), and the result is rescaled by the
-    product of the two scales before the float bias is added.
-    """
-    _notify("qlinear")
-    x32 = np.asarray(x, dtype=ACC_DTYPE)
-    xq = x32 * ACC_DTYPE(1.0 / quantized.act_scale)
-    np.rint(xq, out=xq)
-    np.clip(xq, -127.0, 127.0, out=xq)
-    out = xq @ quantized.q32.T
-    out *= quantized.out_scale
-    if quantized.bias is not None:
-        out += quantized.bias
     return out
 
 
@@ -248,46 +154,7 @@ def attention_core(q: np.ndarray | None, k: np.ndarray | None,
     Returns ``(context, probs)``; ``probs`` are the attention weights
     before dropout, which the op's backward needs.
     """
-    if getattr(_QUANT, "overlay", None) is not None:
-        return qattention_core(q, k, v, scale,
-                               attention_mask=attention_mask,
-                               score_bias=score_bias,
-                               mask_value=mask_value, scores=scores,
-                               dropout_mask=dropout_mask)
     _notify("attention_core")
-    return _attention_math(q, k, v, scale, attention_mask, score_bias,
-                           mask_value, scores, dropout_mask)
-
-
-def qattention_core(q: np.ndarray | None, k: np.ndarray | None,
-                    v: np.ndarray, scale: float,
-                    attention_mask: np.ndarray | None = None,
-                    score_bias: np.ndarray | None = None,
-                    mask_value: float = -1e9,
-                    scores: np.ndarray | None = None,
-                    dropout_mask: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`attention_core` pinned to the quantized accumulation dtype.
-
-    Under a quantized overlay Q/K/V arrive from :func:`qlinear` already
-    in ``ACC_DTYPE``; this kernel forces the score and value
-    contractions to stay there so the quantized forward keeps the
-    float32-accumulation contract end to end even if the surrounding
-    model dtype drifts.  Same arithmetic as the float core otherwise.
-    """
-    _notify("qattention_core")
-    if scores is None:
-        q = np.asarray(q, dtype=ACC_DTYPE)
-        k = np.asarray(k, dtype=ACC_DTYPE)
-    else:
-        scores = np.asarray(scores, dtype=ACC_DTYPE)
-    v = np.asarray(v, dtype=ACC_DTYPE)
-    return _attention_math(q, k, v, scale, attention_mask, score_bias,
-                           mask_value, scores, dropout_mask)
-
-
-def _attention_math(q, k, v, scale, attention_mask, score_bias,
-                    mask_value, scores, dropout_mask):
     owned = scores is None
     if owned:
         # float() strips numpy scalar types: they are not "weak" under

@@ -37,9 +37,8 @@ class PlainLinear(Linear):
     """A :class:`Linear` kept outside the kernel dispatch.
 
     Its forward is plain ``@`` / ``+`` tape ops instead of
-    :meth:`Tensor.linear`, so the int8 overlay, activation recording and
-    kernel counts never see it.  Used for the layers that stay float:
-    the classifier head, the poolers and the match projections.
+    :meth:`Tensor.linear`, so kernel counts never see it.  Used for the
+    classifier head, the poolers and the match projections.
     """
 
     def forward(self, x: Tensor) -> Tensor:

@@ -662,11 +662,10 @@ class Tensor:
                bias: "Tensor | None" = None) -> "Tensor":
         """Affine map ``self @ weight^T + bias``, ``weight`` stored (out, in).
 
-        The forward is :func:`repro.nn.fused.linear`, the one dispatch
-        point for the int8 overlay, activation recording and kernel
-        counts.  The backward is the one the ``@`` / transpose / ``+``
-        chain would record, operand layouts included, so its gradients
-        match that chain bit for bit.
+        The forward is :func:`repro.nn.fused.linear`, where kernel
+        counts see every affine map.  The backward is the one the
+        ``@`` / transpose / ``+`` chain would record, operand layouts
+        included, so its gradients match that chain bit for bit.
         """
         parents = (self, weight) if bias is None else (self, weight, bias)
         data = fused.linear(self.data, weight.data,

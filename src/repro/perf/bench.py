@@ -9,10 +9,6 @@ workload, each comparison through the paired A/B timer of
   cache, through the same tape-off forward.  The speedup floor is
   judged on the lower end of the bootstrap interval of the median
   paired ratio, and every pair's decision must agree between paths;
-* **int8 vs. float** — the fast path over calibrated per-channel int8
-  weights (DESIGN.md §16) against the float fast path; gated on
-  decision consistency on a held-out slice, the speed ratio is
-  informational;
 * **cascade vs. RoBERTa serial** — DistilBERT screens every pair and
   escalates the ambiguous band to RoBERTa; the aggregate speedup over
   the RoBERTa serial path is gated at 4×, with cascade F1 within
@@ -43,24 +39,10 @@ ARCH_SPEEDUP_FLOORS = {"bert": 2.0, "roberta": 1.8, "distilbert": 1.8,
                        "xlnet": 1.5}
 #: Cascade pairs/sec over the RoBERTa serial path.
 CASCADE_SPEEDUP_FLOOR = 4.0
-#: Minimum fraction of held-out decisions the int8 path must keep.
-CONSISTENCY_FLOOR = 1.0
 #: How far cascade F1 may trail RoBERTa-only F1.
 F1_TOLERANCE = 0.005
-#: Training pairs feeding the int8 calibration sweep (an equal
-#: held-out slice gates decision consistency).
-CALIBRATION_PAIRS = 64
 #: The cascade's cheap and strong models.
 PRIMARY, SECONDARY = "distilbert", "roberta"
-
-
-def _calibration_split(train, count: int):
-    """Disjoint (calibration, holdout) pair lists from the train split."""
-    pairs = [(p.record_a, p.record_b) for p in train.pairs]
-    count = max(1, min(count, len(pairs) // 2 or 1))
-    calibration = pairs[:count]
-    holdout = pairs[count:2 * count] or calibration
-    return calibration, holdout
 
 
 def _cold_cache(matcher):
@@ -88,7 +70,7 @@ def _rate(pairs: int, seconds) -> float:
 
 
 def _bench_arch(arch: str, matcher, pairs, batch_size: int, cycles: int,
-                calibration, holdout, gates: list[Gate]) -> dict:
+                gates: list[Gate]) -> dict:
     from ..obs import default_registry
     cold = _cold_cache(matcher)
     timing = harness.paired(
@@ -121,37 +103,6 @@ def _bench_arch(arch: str, matcher, pairs, batch_size: int, cycles: int,
         "cache": {"hits": int(cache.hits), "misses": int(cache.misses),
                   "hit_rate": cache.hit_rate},
         "decision_agreement": agreement,
-        "quantized": _bench_quantized(arch, matcher, pairs, batch_size,
-                                      cycles, calibration, holdout,
-                                      gates),
-    }
-
-
-def _bench_quantized(arch: str, matcher, pairs, batch_size: int,
-                     cycles: int, calibration, holdout,
-                     gates: list[Gate]) -> dict:
-    """Calibrate int8 weights, gate decision consistency, time the path."""
-    matcher.quantize(calibration, batch_size=batch_size)
-    report = matcher.quantization_consistency(holdout,
-                                              batch_size=batch_size)
-    cold = _cold_cache(matcher)
-    timing = harness.paired(
-        lambda: matcher.match_many(pairs, fast=True,
-                                   batch_size=batch_size, quantized=True),
-        lambda: matcher.match_many(pairs, fast=True,
-                                   batch_size=batch_size),
-        cycles=cycles, setup_a=cold, setup_b=cold)
-    gates.append(Gate(f"{arch}.int8_consistency", report.consistency,
-                      CONSISTENCY_FLOOR))
-    return {
-        "calibration_pairs": len(calibration),
-        "holdout_pairs": report.pairs,
-        "timing": timing.as_dict(),
-        "pairs_per_sec": _rate(len(pairs), timing.a_seconds),
-        "speedup_over_float": timing.median,
-        "consistency": report.consistency,
-        "max_probability_delta": report.max_probability_delta,
-        "artifact_bytes": matcher.quantized_weights.nbytes,
     }
 
 
@@ -159,11 +110,9 @@ def _bench_cascade(primary, secondary, splits, pairs, batch_size: int,
                    cycles: int, gates: list[Gate]) -> dict:
     """Calibrate the ambiguity band and time the two-model cascade."""
     from ..matching import build_cascade, evaluate_predictions
-    quantized_primary = primary.quantized_weights is not None
     cascade = build_cascade(primary, secondary, splits.validation,
                             tolerance=F1_TOLERANCE,
-                            batch_size=batch_size,
-                            quantized=quantized_primary)
+                            batch_size=batch_size)
     band = cascade.calibration
 
     test_pairs = [(p.record_a, p.record_b) for p in splits.test.pairs]
@@ -199,7 +148,6 @@ def _bench_cascade(primary, secondary, splits, pairs, batch_size: int,
     return {
         "primary": PRIMARY,
         "secondary": SECONDARY,
-        "quantized_primary": quantized_primary,
         "band": {"lo": band.lo, "hi": band.hi,
                  "validation_escalation_rate": band.escalation_rate},
         "pairs": n,
@@ -226,13 +174,6 @@ def _summary(config: dict, architectures: dict,
             f"({entry['speedup']:.2f}x [{low:.2f}, {high:.2f}], cache "
             f"hit rate {entry['cache']['hit_rate']:.2f}, decision "
             f"agreement {entry['decision_agreement']:.3f})")
-        quantized = entry["quantized"]
-        lines.append(
-            f"    int8   {quantized['pairs_per_sec']:8.1f} pairs/s  "
-            f"({quantized['speedup_over_float']:.2f}x float fast path, "
-            f"consistency {quantized['consistency']:.3f}, max prob "
-            f"delta {quantized['max_probability_delta']:.1e}, artifact "
-            f"{quantized['artifact_bytes'] / 1024:.0f} KiB)")
     if cascade:
         band = cascade["band"]
         low, high = cascade["timing"]["interval"]
@@ -256,8 +197,6 @@ def run_perf_benchmark(archs=DEFAULT_ARCHS, num_pairs: int = 200,
         num_pairs = min(num_pairs, 24)
     cycles = harness.cycles_for(smoke)
     splits, pairs = harness.build_workload(num_pairs, seed)
-    calibration, holdout = _calibration_split(
-        splits.train, 8 if smoke else CALIBRATION_PAIRS)
     gates: list[Gate] = []
     architectures = {}
     matchers = {}
@@ -265,15 +204,13 @@ def run_perf_benchmark(archs=DEFAULT_ARCHS, num_pairs: int = 200,
         matcher = harness.fit_matcher(arch, splits, seed, zoo_dir)
         matchers[arch] = matcher
         architectures[arch] = _bench_arch(arch, matcher, pairs,
-                                          batch_size, cycles, calibration,
-                                          holdout, gates)
+                                          batch_size, cycles, gates)
     cascade = None
     if PRIMARY in matchers and SECONDARY in matchers:
         cascade = _bench_cascade(matchers[PRIMARY], matchers[SECONDARY],
                                  splits, pairs, batch_size, cycles, gates)
     config = {"archs": list(archs), "pairs": num_pairs, "seed": seed,
-              "batch_size": batch_size,
-              "calibration_pairs": len(calibration), "cycles": cycles}
+              "batch_size": batch_size, "cycles": cycles}
     return harness.build_report(
         "perf", smoke=smoke, config=config, gates=gates,
         summary=_summary(config, architectures, cascade),

@@ -304,8 +304,8 @@ def build_workload(num_pairs: int, seed: int):
     The workload cycles the test split's pairs up to the requested
     count with the unique pool capped at half the workload, so every
     record really is re-matched at least once — the cacheable shape.
-    Train/validation stay held out for fitting, quantization
-    calibration, and cascade band selection.
+    Train/validation stay held out for fitting and cascade band
+    selection.
     """
     from ..data import load_benchmark, split_dataset
     from ..utils import child_rng

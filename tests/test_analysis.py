@@ -35,7 +35,7 @@ class TestSelfLint:
 
     def test_rule_catalog(self):
         rules = available_rules()
-        assert len(rules) == 20
+        assert len(rules) == 19
         ids = [r.id for r in rules]
         assert len(set(ids)) == len(ids)
         assert all(r.id.startswith("RA") and r.name and r.hint
@@ -278,42 +278,6 @@ class TestLintRules:
                    "        except KeyError:\n"
                    "            continue\n")
         assert not _only(foreign, "RA118", package="tools.client")
-
-    def test_ra119_raw_payload_arithmetic_flagged(self):
-        bad = ("import numpy as np\n"
-               "from repro.nn import ACC_DTYPE\n"
-               "def qforward(x, quantized, w_int8, scale):\n"
-               "    out = x @ quantized.q.T\n"
-               "    y = w_int8 * scale\n"
-               "    return out, y, np.matmul(x, quantized.q)\n")
-        hits = _only(bad, "RA119", package="tools.quantized")
-        assert len(hits) == 3
-        assert all("float64" in hit.message for hit in hits)
-
-    def test_ra119_cast_payload_allowed(self):
-        good = ("import numpy as np\n"
-                "from repro.nn import ACC_DTYPE\n"
-                "def qforward(x, quantized, w_int8):\n"
-                "    a = x @ quantized.q.astype(ACC_DTYPE).T\n"
-                "    b = quantized.q32 @ x\n"
-                "    c = x @ w_int8.astype(ACC_DTYPE)\n"
-                "    shape = quantized.q.shape\n"
-                "    return a, b, c, shape\n")
-        assert not _only(good, "RA119", package="tools.quantized")
-
-    def test_ra119_bare_q_is_the_attention_query(self):
-        # A float array named `q` (the attention query) is not a quant
-        # payload; only the .q attribute / q8-int8 names match.
-        fine = ("import numpy as np\n"
-                "from repro.nn import ACC_DTYPE\n"
-                "def attention(q, k, v, scale):\n"
-                "    return (q @ np.swapaxes(k, -1, -2)) * scale\n")
-        assert not _only(fine, "RA119", package="tools.quantized")
-
-    def test_ra119_only_applies_to_nn_importers(self):
-        source = ("def f(x, quantized):\n"
-                  "    return x @ quantized.q.T\n")
-        assert not _only(source, "RA119", package="tools.quantized")
 
     def test_ra120_itertools_product_over_records_flagged(self):
         bad = ("import itertools\n"
