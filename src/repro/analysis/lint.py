@@ -859,7 +859,7 @@ class _RetryWithoutBackoff(LintRule):
         "RequestTimeout", "RequestCancelled",
     })
     _SUBMIT_NAMES = frozenset({"submit", "submit_many"})
-    _BACKOFF_MARKERS = ("sleep", "backoff", "run_for", "advance",
+    _BACKOFF_MARKERS = ("sleep", "backoff", "advance",
                         "call_later", "call_at", "wait", "settle")
 
     def check(self, module: SourceModule) -> Iterator[Violation]:

@@ -38,8 +38,7 @@ from .backends import (CallableBackend, CascadeBackend, DeepMatcherBackend,
 from .breaker import BreakerConfig, CircuitBreaker
 from .clock import Clock, ClockCondition, SystemClock, VirtualClock
 from .resilient import (HedgeConfig, Replica, ReplicaSet,
-                        ResilientClient, ResilientConfig,
-                        run_resilient_simulation)
+                        ResilientClient, ResilientConfig)
 from .retry import RetryBudget, RetryConfig, RetryPolicy
 from .service import (MatchService, MatchTicket, RequestCancelled,
                       RequestTimeout, ServeConfig, ServeError,
@@ -59,5 +58,5 @@ __all__ = [
     "RetryConfig", "RetryBudget", "RetryPolicy",
     "BreakerConfig", "CircuitBreaker",
     "HedgeConfig", "ResilientConfig", "Replica", "ReplicaSet",
-    "ResilientClient", "run_resilient_simulation",
+    "ResilientClient",
 ]

@@ -8,8 +8,8 @@ through the paired A/B timer of :mod:`repro.perf.harness`: the median
 paired ratio (serial seconds over service seconds for the same pairs)
 must keep half the serial throughput, judged on the lower end of its
 bootstrap interval.  The scorecard — per-level throughput, p50/p95
-request latency, rejection/timeout counts — goes to
-``BENCH_serve.json``.
+request latency from each request's due time, rejection/timeout
+counts and the driver's p99 lateness — goes to ``BENCH_serve.json``.
 
 Imports from ``repro.matching`` stay inside the functions (through the
 harness): the matching layer imports serving's sibling packages, and
@@ -48,18 +48,7 @@ def _run_level(matcher, pairs, level: float, baseline_rate: float,
                     max_queue=max(4 * batch_size, len(pairs))),
         clock=SystemClock(), registry=MetricsRegistry())
     report = run_simulation(service, workload)
-    return {
-        "offered_rate": rate,
-        "offered": report.offered,
-        "completed": report.completed,
-        "rejected": report.rejected,
-        "timeouts": report.timeouts,
-        "degraded": report.degraded,
-        "duration_seconds": report.duration,
-        "throughput": report.throughput,
-        "p50_latency_ms": report.latency_quantile(0.50) * 1000.0,
-        "p95_latency_ms": report.latency_quantile(0.95) * 1000.0,
-    }
+    return {"offered_rate": rate, **report.scorecard()}
 
 
 def run_serve_benchmark(arch: str = "bert", num_pairs: int = 200,

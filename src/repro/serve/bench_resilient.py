@@ -28,8 +28,8 @@ from ..resilience.chaos import ChaosConfig, ChaosMonkey
 from .backends import MatcherBackend
 from .breaker import BreakerConfig
 from .clock import SystemClock
-from .resilient import (HedgeConfig, ReplicaSet, ResilientClient,
-                        ResilientConfig, run_resilient_simulation)
+from .resilient import HedgeConfig, ReplicaSet, ResilientClient, \
+    ResilientConfig
 from .retry import RetryConfig
 from .service import MatchService, ServeConfig
 from .sim import SimReport, generate_workload, run_simulation
@@ -46,24 +46,6 @@ AVAILABILITY_FLOOR = 0.999
 #: ...while the naive client must land measurably below this, or the
 #: injected chaos was too soft to prove anything.
 NAIVE_CEILING = 0.99
-
-
-def _sim_stats(report: SimReport) -> dict:
-    failed = report.rejected + report.timeouts + report.errors
-    return {
-        "offered": report.offered,
-        "completed": report.completed,
-        "rejected": report.rejected,
-        "timeouts": report.timeouts,
-        "degraded": report.degraded,
-        "errors": report.errors,
-        "failed": failed,
-        "duration_seconds": report.duration,
-        "throughput": report.throughput,
-        "availability": report.completed / max(report.offered, 1),
-        "p50_latency_ms": report.latency_quantile(0.50) * 1000.0,
-        "p95_latency_ms": report.latency_quantile(0.95) * 1000.0,
-    }
 
 
 def _serve_config(batch_size: int, max_wait_ms: float,
@@ -114,7 +96,7 @@ def _overhead_phase(matcher, pairs, rate: float, seed: int,
                             attempt_timeout_ms=120_000.0,
                             shed_queue_factor=1.0),
             registry=registry)
-        return run_resilient_simulation(client, workload)
+        return run_simulation(client, workload)
 
     _drain_naive()       # warm thread pools, allocator, token cache
     _drain_resilient()
@@ -193,12 +175,12 @@ def _chaos_phase(matcher, pairs, rate: float, seed: int,
                         attempt_timeout_ms=2000.0,
                         shed_queue_factor=1.0),
         registry=registry)
-    resilient = run_resilient_simulation(client, workload)
+    resilient = run_simulation(client, workload)
     respawns = sum(replica.respawns for replica in replicas.replicas)
 
     return {
-        "naive": _sim_stats(naive),
-        "resilient": _sim_stats(resilient),
+        "naive": naive.scorecard(),
+        "resilient": resilient.scorecard(),
         "respawns": respawns,
         "retries": client.policy.budget.retries,
     }
@@ -220,8 +202,8 @@ def run_resilient_benchmark(arch: str = "bert", num_pairs: int = 200,
     rate = baseline["pairs_per_sec"]
     timing = _overhead_phase(matcher, pairs, rate, seed, batch_size,
                              max_wait_ms, harness.cycles_for(smoke))
-    overhead = {"naive": _sim_stats(timing.a_result),
-                "resilient": _sim_stats(timing.b_result),
+    overhead = {"naive": timing.a_result.scorecard(),
+                "resilient": timing.b_result.scorecard(),
                 "timing": timing.as_dict()}
     chaos = _chaos_phase(matcher, pairs, rate, seed, batch_size,
                          max_wait_ms, num_requests)

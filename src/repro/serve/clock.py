@@ -14,6 +14,12 @@ this).  Two implementations share the interface:
   becomes exactly reproducible — no real sleeps, no wall-clock
   flakiness, and a "ten minute" soak finishes in milliseconds.
 
+The interface has no driver-side "let time pass" method: the load
+driver (:func:`repro.serve.sim.run_simulation`) *causes* virtual time
+with :meth:`VirtualClock.advance` in settled steps, but on the system
+clock it sleeps to each arrival's absolute due time, and those are
+different operations.
+
 Worker threads block on :class:`ClockCondition` — a
 ``threading.Condition`` whose *timeout* is interpreted by the owning
 clock.  On the system clock it is a plain timed wait; on the virtual
@@ -99,15 +105,6 @@ class Clock:
     def condition(self) -> ClockCondition:
         """A condition variable whose timeouts run on this clock."""
         return ClockCondition(self)
-
-    def run_for(self, seconds: float) -> None:
-        """Driver-side time passage: let ``seconds`` of clock time play
-        out.  On the system clock that is just sleeping; the virtual
-        clock overrides it with :meth:`VirtualClock.advance`, which
-        *causes* time to pass.  Load generators call this between
-        arrivals so one loop drives either clock.
-        """
-        self.sleep(seconds)
 
     def _wait_for(self, cond: threading.Condition, predicate,
                   timeout: float) -> bool:
@@ -321,9 +318,6 @@ class VirtualClock(Clock):
                     break
             if callback is not None:
                 callback()
-
-    def run_for(self, seconds: float) -> None:
-        self.advance(seconds)
 
     def _wait_for(self, cond: threading.Condition, predicate,
                   timeout: float) -> bool:

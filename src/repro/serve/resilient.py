@@ -27,7 +27,7 @@ and everything time-based — attempt timeouts, hedge triggers, backoff,
 health probes, logical deadlines — is a :meth:`Clock.call_later` timer.
 On a :class:`~repro.serve.VirtualClock` those timers fire on the driver
 thread in deterministic order, so an entire outage-and-recovery
-scenario replays bit-identically (:func:`run_resilient_simulation`);
+scenario replays bit-identically (:func:`repro.serve.run_simulation`);
 on a :class:`~repro.serve.SystemClock` the same code serves real
 traffic with one shared timer thread.
 """
@@ -42,14 +42,13 @@ from ..obs import default_registry
 from ..obs.registry import LATENCY_BUCKETS
 from ..utils.concurrency import access, make_lock
 from .breaker import BreakerConfig, CircuitBreaker
-from .clock import Clock, SystemClock, VirtualClock
+from .clock import Clock, SystemClock
 from .retry import RetryConfig, RetryPolicy
 from .service import MatchService, MatchTicket, RequestCancelled, \
     RequestTimeout, ServeError, ServiceClosed, ServiceOverloaded
-from .sim import SimReport, Workload, _advance_settled
 
 __all__ = ["HedgeConfig", "ResilientConfig", "Replica", "ReplicaSet",
-           "ResilientClient", "run_resilient_simulation"]
+           "ResilientClient"]
 
 
 @dataclass
@@ -550,6 +549,13 @@ class ResilientClient:
             return len(self._flights)
 
     @property
+    def healthy(self) -> bool:
+        """Open for requests.  Dead replicas do not count against it:
+        the supervisor respawns them and flights retry elsewhere, so
+        every unresolved flight still resolves."""
+        return not self._closed
+
+    @property
     def settled(self) -> bool:
         """Fleet quiescence for the deterministic driver.
 
@@ -898,70 +904,3 @@ class ResilientClient:
             RequestTimeout(flight.id,
                            waited=now - flight.ticket.submitted_at),
             now)
-
-
-def run_resilient_simulation(client: ResilientClient,
-                             workload: Workload,
-                             timeout_ms: float | None = None) -> SimReport:
-    """Replay ``workload`` through a :class:`ResilientClient`.
-
-    The resilient twin of :func:`repro.serve.run_simulation`: open-loop
-    arrivals, shed submissions counted as rejections, and — on a
-    :class:`~repro.serve.VirtualClock` — settled stepping over the
-    *composite* quiescence predicate (every replica plus the
-    supervisor), so chaos, failover, hedging and respawns replay
-    bit-identically.  The client is closed on return.
-    """
-    clock = client.clock
-    virtual = isinstance(clock, VirtualClock)
-    report = SimReport(offered=len(workload))
-    start = clock.now()
-    client.start()
-    tickets = []
-    elapsed = 0.0
-    for arrival in workload.arrivals:
-        if arrival.at > elapsed:
-            if virtual:
-                _advance_settled(lambda: client.settled, clock,
-                                 arrival.at - elapsed)
-            else:
-                clock.run_for(arrival.at - elapsed)
-            elapsed = arrival.at
-        try:
-            tickets.append(client.submit(arrival.entity_a,
-                                         arrival.entity_b,
-                                         timeout_ms=timeout_ms))
-        except ServiceOverloaded:
-            report.rejected += 1
-    if virtual:
-        # Every flight is bounded (attempt timeouts × retry cap, plus
-        # optional deadline), so stepping timer-by-timer terminates.
-        clock.settle(lambda: client.settled)
-        while client.outstanding:
-            deadline = clock.next_deadline()
-            if deadline is None:
-                break
-            clock.advance(max(deadline - clock.now(), 0.0))
-            clock.settle(lambda: client.settled)
-    else:
-        # Real-time drain with a generous safety valve; flights are
-        # bounded by the same timeout arithmetic as above.
-        limit = clock.now() + 60.0
-        while client.outstanding and clock.now() < limit:
-            clock.sleep(0.001)
-    client.close(drain=True)
-    for ticket in tickets:
-        error = ticket.exception()
-        if error is None:
-            outcome = ticket.result()
-            report.completed += 1
-            report.latencies.append(ticket.latency)
-            report.outcomes[ticket.request_id] = outcome
-            if outcome.degraded:
-                report.degraded += 1
-        elif isinstance(error, RequestTimeout):
-            report.timeouts += 1
-        else:
-            report.errors += 1
-    report.duration = clock.now() - start
-    return report

@@ -493,12 +493,17 @@ class MatchService:
         """True when workers have fully reacted to everything visible.
 
         The quiescence probe behind deterministic simulation
-        (:func:`repro.serve.sim.run_simulation`): virtual time may only
-        advance when nothing is mid-scoring and the queue is either
-        empty or parked behind an armed flush timer (with room to
-        spare — a full batch is about to be drained without any timer,
-        so it counts as unsettled until the drain happens).  The probe
-        uses only service-local bookkeeping (``_flush_waiters``,
+        (:func:`repro.serve.sim.run_simulation`, the one driver for
+        this service and for a ``ResilientClient`` over it): virtual
+        time may only advance when nothing is mid-scoring and the queue
+        is either empty or parked behind an armed flush timer (with
+        room to spare — a full batch is about to be drained without any
+        timer, so it counts as unsettled until the drain happens).
+        Once settled, "queue empty and nothing in flight" is the same
+        as "every ticket resolved" — request timeouts only fire when a
+        batch forms, so a queued ticket never resolves early — which is
+        what lets the driver wait on tickets for either tier.  The
+        probe uses only service-local bookkeeping (``_flush_parked``,
         ``_sleeping``) rather than the clock's global timer count, so
         unrelated timers on a shared clock — the resilient tier's
         health probes, hedges and backoffs — cannot make a mid-reaction

@@ -1,4 +1,4 @@
-"""Deterministic load simulation for :class:`repro.serve.MatchService`.
+"""Open-loop load simulation for both serving tiers.
 
 Two halves:
 
@@ -11,27 +11,36 @@ Two halves:
   alternating shortest/longest length mix, stressing the length
   bucketer with maximally heterogeneous batches).  Same seed, same
   schedule — byte for byte.
-* :func:`run_simulation` — an open-loop driver that replays a workload
-  against a service on *any* clock.  On a
+* :func:`run_simulation` — the one open-loop driver, replaying a
+  workload against a :class:`~repro.serve.MatchService` or a
+  :class:`~repro.serve.ResilientClient` on *any* clock.  On a
   :class:`~repro.serve.clock.VirtualClock` the whole run is simulated:
-  ``clock.run_for`` advances virtual time between arrivals, worker
-  wake-ups fire deterministically, and a ten-minute soak completes in
-  milliseconds of wall time with zero real sleeps.  On a
+  the driver advances virtual time in settled steps between arrivals,
+  worker wake-ups fire deterministically, and a ten-minute soak
+  completes in milliseconds of wall time with zero real sleeps.  On a
   :class:`~repro.serve.clock.SystemClock` the same driver becomes a
-  real load benchmark (``repro bench serve``).
+  real load benchmark (``repro bench serve``): it sleeps only until
+  each arrival's absolute due time and never when it is already
+  behind, so a worker holding the GIL cannot slow the offered load.
 
 The resulting :class:`SimReport` carries exact latency samples (clock
-seconds, submit to complete) plus the rejection/timeout/degradation
+seconds from each request's due time to its completion), the driver's
+own lateness per arrival, and the rejection/timeout/degradation
 tallies, so tests can assert on precise counts rather than statistics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..utils import child_rng
 from .clock import VirtualClock
 from .service import MatchService, RequestTimeout, ServiceOverloaded
+
+if TYPE_CHECKING:
+    from .resilient import ResilientClient
 
 __all__ = ["Arrival", "Workload", "SimReport", "generate_workload",
            "run_simulation"]
@@ -104,8 +113,10 @@ def generate_workload(pairs, num_requests: int, rate: float,
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}; "
                          f"choose from {PATTERNS}")
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"rate must be finite and positive, got {rate}")
+    if burst_size < 1:
+        raise ValueError(f"burst_size must be >= 1, got {burst_size}")
     if num_requests < 1:
         raise ValueError(f"num_requests must be >= 1, got {num_requests}")
     pairs = list(pairs)
@@ -143,29 +154,54 @@ class SimReport:
     degraded: int = 0
     errors: int = 0
     duration: float = 0.0
-    #: Submit-to-complete clock seconds, one per completed request,
-    #: in submission order.
+    #: Due-to-complete clock seconds, one per completed request, in
+    #: submission order.
     latencies: list[float] = field(default_factory=list)
+    #: Submit time minus due time (clock seconds), one per offered
+    #: arrival: how far the driver itself fell behind the schedule.
+    lateness: list[float] = field(default_factory=list)
     #: MatchOutcomes of completed requests keyed by request id.
     outcomes: dict[int, object] = field(default_factory=dict)
 
     def latency_quantile(self, q: float) -> float:
         """Exact linear-interpolation quantile of completed latencies."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        ordered = sorted(self.latencies)
-        if not ordered:
-            return 0.0
-        position = q * (len(ordered) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] * (1 - fraction) + ordered[high] * fraction
+        return _quantile(self.latencies, q)
 
     @property
     def throughput(self) -> float:
         """Completed requests per clock second."""
         return self.completed / self.duration if self.duration else 0.0
+
+    def scorecard(self) -> dict:
+        """The per-drain numbers the serving benchmarks report."""
+        return {
+            "offered": self.offered,
+            "completed": self.completed,
+            "rejected": self.rejected,
+            "timeouts": self.timeouts,
+            "degraded": self.degraded,
+            "errors": self.errors,
+            "failed": self.rejected + self.timeouts + self.errors,
+            "duration_seconds": self.duration,
+            "throughput": self.throughput,
+            "availability": self.completed / max(self.offered, 1),
+            "p50_latency_ms": self.latency_quantile(0.50) * 1000.0,
+            "p95_latency_ms": self.latency_quantile(0.95) * 1000.0,
+            "lateness_p99_ms": _quantile(self.lateness, 0.99) * 1000.0,
+        }
+
+
+def _quantile(values: list[float], q: float) -> float:
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must be in [0, 1]")
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    position = q * (len(ordered) - 1)
+    low = int(position)
+    high = min(low + 1, len(ordered) - 1)
+    fraction = position - low
+    return ordered[low] * (1 - fraction) + ordered[high] * fraction
 
 
 def _advance_settled(settled, clock: VirtualClock, gap: float) -> None:
@@ -173,10 +209,9 @@ def _advance_settled(settled, clock: VirtualClock, gap: float) -> None:
     letting worker threads settle (react, drain, re-arm) in between, so
     the same workload replays the same batch schedule every run.
 
-    ``settled`` is a zero-argument quiescence predicate —
-    ``MatchService.settled`` for the plain sim,
-    ``ResilientClient.settled`` (all replicas plus the supervisor) for
-    the resilient one.
+    ``settled`` is the target's zero-argument quiescence predicate —
+    ``MatchService.settled``, or ``ResilientClient.settled`` (all
+    replicas plus the supervisor).
     """
     target = clock.now() + gap
     while True:
@@ -192,58 +227,90 @@ def _advance_settled(settled, clock: VirtualClock, gap: float) -> None:
         clock.advance(step)
 
 
-def run_simulation(service: MatchService, workload: Workload,
-                   timeout_ms: float | None = None) -> SimReport:
-    """Replay ``workload`` against ``service`` on the service's clock.
+#: Real-clock safety valve (seconds) on waiting out the tail.
+_DRAIN_LIMIT = 60.0
 
-    Open-loop: arrivals are submitted on schedule whether or not
-    earlier requests finished; a full queue counts a rejection and the
-    driver moves on (the client got its :class:`ServiceOverloaded`).
+
+def run_simulation(target: MatchService | ResilientClient,
+                   workload: Workload,
+                   timeout_ms: float | None = None) -> SimReport:
+    """Replay ``workload`` against ``target`` on the target's clock.
+
+    ``target`` is a :class:`MatchService` or a
+    :class:`~repro.serve.ResilientClient`.  Open-loop: arrivals are
+    submitted on schedule whether or not earlier requests finished; a
+    full queue or a shed submission counts a rejection and the driver
+    moves on (the client got its :class:`ServiceOverloaded`).
+
     On a :class:`~repro.serve.clock.VirtualClock` the driver advances
     in settled steps — no virtual time passes while a worker is
-    mid-reaction — so the run is deterministic end to end.  After the
-    last arrival the service is closed with ``drain=True``, which
-    flushes the residual queue at the final instant.  Returns the
-    :class:`SimReport`; the service is closed on return.
+    mid-reaction — and after the last arrival plays the tail out timer
+    by timer until every ticket resolves, so the run is deterministic
+    end to end (chaos, failover, hedging and respawns included).  On a
+    real clock it sleeps until each arrival's absolute due time, never
+    when already behind, and after the last arrival blocks on each
+    ticket (bounded by a 60 s safety valve; a target that reports
+    itself unhealthy — a dead worker pool — is left to ``close`` to
+    fail typed).  The target is closed with ``drain=True`` on return.
+
+    Latencies run from each request's due time, so a late driver shows
+    up as latency, and :attr:`SimReport.lateness` records by how much.
+    On the virtual clock due time equals submit time exactly.
     """
-    clock = service.clock
+    clock = target.clock
     virtual = isinstance(clock, VirtualClock)
+    settled = lambda: target.settled
     report = SimReport(offered=len(workload))
+    target.start()
     start = clock.now()
-    service.start()
-    tickets = []
+    submitted = []  # (ticket, due) in submission order
     elapsed = 0.0
     for arrival in workload.arrivals:
-        if arrival.at > elapsed:
-            if virtual:
-                _advance_settled(lambda: service.settled, clock,
-                                 arrival.at - elapsed)
-            else:
-                clock.run_for(arrival.at - elapsed)
-            elapsed = arrival.at
+        if virtual:
+            # Step by schedule gaps, as replays always have: advancing
+            # to ``start + arrival.at`` instead rounds differently and
+            # would move replayed floats by an ulp.
+            if arrival.at > elapsed:
+                _advance_settled(settled, clock, arrival.at - elapsed)
+                elapsed = arrival.at
+            due = clock.now()
+        else:
+            due = start + arrival.at
+            clock.sleep(due - clock.now())
+        report.lateness.append(clock.now() - due)
         try:
-            tickets.append(service.submit(arrival.entity_a,
-                                          arrival.entity_b,
-                                          timeout_ms=timeout_ms))
+            submitted.append((target.submit(arrival.entity_a,
+                                            arrival.entity_b,
+                                            timeout_ms=timeout_ms), due))
         except ServiceOverloaded:
             report.rejected += 1
+    pending = [ticket for ticket, _ in submitted]
     if virtual:
-        # Play the tail out timer by timer until the queue is dry, so
-        # flush deadlines (and request timeouts) fire on schedule.
-        clock.settle(lambda: service.settled)
-        while service.queue_depth or service.inflight:
+        # Play the tail out timer by timer until every ticket resolves,
+        # so flush deadlines, timeouts and retries fire on schedule.
+        clock.settle(settled)
+        while pending := [t for t in pending if not t.done()]:
             deadline = clock.next_deadline()
             if deadline is None:
-                break  # close() flushes whatever is left synchronously
+                break  # close() resolves whatever is left
             clock.advance(max(deadline - clock.now(), 0.0))
-            clock.settle(lambda: service.settled)
-    service.close(drain=True)
-    for ticket in tickets:
+            clock.settle(settled)
+    else:
+        limit = clock.now() + _DRAIN_LIMIT
+        for ticket in pending:
+            if not target.healthy:
+                break
+            try:
+                ticket.exception(timeout=max(limit - clock.now(), 0.0))
+            except TimeoutError:
+                break
+    target.close(drain=True)
+    for ticket, due in submitted:
         error = ticket.exception()
         if error is None:
             outcome = ticket.result()
             report.completed += 1
-            report.latencies.append(ticket.latency)
+            report.latencies.append(ticket.completed_at - due)
             report.outcomes[ticket.request_id] = outcome
             if outcome.degraded:
                 report.degraded += 1

@@ -21,6 +21,7 @@ Four contracts anchor the fault-tolerance tier (DESIGN.md §15):
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ from repro.serve import (BreakerConfig, CallableBackend, CircuitBreaker,
                          ResilientConfig, RetryBudget, RetryConfig,
                          RetryPolicy, ServeConfig, ServiceClosed,
                          ServiceOverloaded, VirtualClock,
-                         generate_workload, run_resilient_simulation)
+                         generate_workload, run_simulation)
 
 pytestmark = pytest.mark.resilient
 
@@ -47,6 +48,14 @@ def _digit_score(entity_a, entity_b):
 
 def _pair(i):
     return ({"i": str(i)}, {"i": str(i)})
+
+
+def _report_digest(report) -> str:
+    """sha256 over a report's tallies and exact float reprs."""
+    return hashlib.sha256(repr((
+        report.completed, report.rejected, report.timeouts,
+        report.errors, report.degraded, report.latencies,
+        report.duration)).encode()).hexdigest()
 
 
 def _fleet(clock, registry, num_replicas=2, monkeys=None,
@@ -625,8 +634,18 @@ class TestChaosRecoveryDeterminism:
     kills, slow forwards, attempt timeouts, hedges, failover, respawn —
     replays bit-identically under the virtual clock."""
 
+    #: sha256 of :func:`_report_digest` per scenario.  Pinned, so a
+    #: driver change that moves any virtual-clock float by one ulp fails
+    #: here even though it replays identically run to run.
+    REPLAY_DIGESTS = {
+        "chaos-burst": "60725f583fb482f879fded9477dfb535"
+                       "abc085ebf0b35d9dafc32e06055de1f2",
+        "calm": "cab8c8ed75d9359f3983edbffde2de0f"
+                "f5af5144892d181dc30d4c05b8151534",
+    }
+
     @staticmethod
-    def _run_burst_scenario():
+    def _burst_report():
         clock = VirtualClock()
         registry = MetricsRegistry()
         monkeys = [ChaosMonkey(ChaosConfig(
@@ -653,7 +672,11 @@ class TestChaosRecoveryDeterminism:
         workload = generate_workload(pairs, num_requests=60, rate=400.0,
                                      seed=1, pattern="burst",
                                      burst_size=8)
-        report = run_resilient_simulation(client, workload)
+        return run_simulation(client, workload), replicas, client
+
+    @classmethod
+    def _run_burst_scenario(cls):
+        report, replicas, client = cls._burst_report()
         return (report.completed, report.errors, report.timeouts,
                 report.rejected,
                 tuple(round(latency, 12) for latency in report.latencies),
@@ -668,16 +691,19 @@ class TestChaosRecoveryDeterminism:
         assert completed + errors + timeouts + rejected == 60
         assert completed > 0
 
+    @staticmethod
+    def _calm_report():
+        clock = VirtualClock()
+        registry = MetricsRegistry()
+        client = ResilientClient(_fleet(clock, registry),
+                                 registry=registry)
+        workload = generate_workload([_pair(i) for i in range(8)],
+                                     num_requests=40, rate=200.0, seed=3)
+        return run_simulation(client, workload)
+
     def test_calm_simulation_is_bit_reproducible_and_lossless(self):
         def run():
-            clock = VirtualClock()
-            registry = MetricsRegistry()
-            client = ResilientClient(_fleet(clock, registry),
-                                     registry=registry)
-            workload = generate_workload([_pair(i) for i in range(8)],
-                                         num_requests=40, rate=200.0,
-                                         seed=3)
-            report = run_resilient_simulation(client, workload)
+            report = self._calm_report()
             return (report.completed, report.errors,
                     tuple(round(latency, 12)
                           for latency in report.latencies))
@@ -685,6 +711,14 @@ class TestChaosRecoveryDeterminism:
         second = run()
         assert first == second
         assert first[0] == 40 and first[1] == 0
+
+    def test_replays_match_pinned_digests(self):
+        burst, _, _ = self._burst_report()
+        calm = self._calm_report()
+        assert _report_digest(burst) == self.REPLAY_DIGESTS["chaos-burst"]
+        assert _report_digest(calm) == self.REPLAY_DIGESTS["calm"]
+        assert burst.lateness == [0.0] * 60
+        assert calm.lateness == [0.0] * 40
 
 
 class TestResilientSLOs:

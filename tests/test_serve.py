@@ -19,6 +19,7 @@ Four contracts anchor ``repro.serve``:
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from pathlib import Path
 
@@ -34,10 +35,11 @@ from repro.obs import MetricsRegistry, default_registry
 from repro.perf import LRUCache, is_left_padded, plan_buckets
 from repro.resilience import ChaosConfig, ChaosMonkey
 from repro.serve import (CallableBackend, CascadeBackend,
-                         DeepMatcherBackend, MatcherBackend, MatchService,
-                         RequestTimeout, ServeConfig, ServiceClosed,
-                         ServiceOverloaded, SystemClock, VirtualClock,
-                         generate_workload, run_simulation)
+                         DeepMatcherBackend, HedgeConfig, MatcherBackend,
+                         MatchService, ReplicaSet, RequestTimeout,
+                         ResilientClient, ResilientConfig, ServeConfig,
+                         ServiceClosed, ServiceOverloaded, SystemClock,
+                         VirtualClock, generate_workload, run_simulation)
 from repro.utils import child_rng
 
 pytestmark = pytest.mark.serve
@@ -94,6 +96,14 @@ def _digit_score(entity_a, entity_b):
 
 def _pair(i):
     return ({"i": str(i)}, {"i": str(i)})
+
+
+def _report_digest(report) -> str:
+    """sha256 over a report's tallies and exact float reprs."""
+    return hashlib.sha256(repr((
+        report.completed, report.rejected, report.timeouts,
+        report.errors, report.degraded, report.latencies,
+        report.duration)).encode()).hexdigest()
 
 
 class TestDecisionEquivalence:
@@ -813,28 +823,51 @@ class TestSimulationDeterminism:
         with pytest.raises(ValueError):
             generate_workload([], num_requests=1, rate=1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"pattern": "burst", "burst_size": 0},
+        {"pattern": "burst", "burst_size": -2},
+        {"rate": float("nan")},
+        {"rate": float("inf")},
+    ])
+    def test_workload_rejects_bad_schedule_input(self, kwargs):
+        arguments = {"num_requests": 5, "rate": 10.0, **kwargs}
+        with pytest.raises(ValueError):
+            generate_workload([_pair(0)], **arguments)
+
     def test_first_arrival_is_at_time_zero(self):
         workload = generate_workload([_pair(0)], num_requests=5,
                                      rate=50.0, seed=0)
         assert workload.arrivals[0].at == 0.0
         assert workload.duration == workload.arrivals[-1].at
 
+    #: sha256 of :func:`_report_digest` per replayed pattern.  Pinned,
+    #: so a driver change that moves any virtual-clock float by one ulp
+    #: fails here even though it replays identically run to run.
+    REPLAY_DIGESTS = {
+        "poisson": "279bf399f460279c5bc8d5fd6496594b"
+                   "da27db0be1e37efd17effe4f57e05809",
+        "burst": "9b858eadf8d6030c7dcba2e8a954d3a1"
+                 "307aa67a7cbb724d944d48680a7893b3",
+        "adversarial": "50a668dcb3b2d4da94ab0fc470e5826d"
+                       "4fa2a607dc456a4381677777f298ff76",
+    }
+
+    @staticmethod
+    def _replay(pattern):
+        clock = VirtualClock()
+        service = MatchService(
+            CallableBackend(_digit_score),
+            ServeConfig(max_batch_size=8, max_wait_ms=20.0, max_queue=64),
+            clock=clock, registry=MetricsRegistry())
+        workload = generate_workload(
+            [_pair(i) for i in range(12)], num_requests=50,
+            rate=200.0, seed=21, pattern=pattern)
+        return run_simulation(service, workload)
+
     @pytest.mark.parametrize("pattern",
                              ["poisson", "burst", "adversarial"])
     def test_replay_is_bit_deterministic(self, pattern):
-        def run():
-            clock = VirtualClock()
-            service = MatchService(
-                CallableBackend(_digit_score),
-                ServeConfig(max_batch_size=8, max_wait_ms=20.0,
-                            max_queue=64),
-                clock=clock, registry=MetricsRegistry())
-            workload = generate_workload(
-                [_pair(i) for i in range(12)], num_requests=50,
-                rate=200.0, seed=21, pattern=pattern)
-            return run_simulation(service, workload)
-
-        first, second = run(), run()
+        first, second = self._replay(pattern), self._replay(pattern)
         assert first.completed == second.completed == 50
         assert first.rejected == second.rejected == 0
         assert first.latencies == second.latencies  # exact floats
@@ -842,6 +875,14 @@ class TestSimulationDeterminism:
         assert all(first.outcomes[k].probability
                    == second.outcomes[k].probability
                    for k in first.outcomes)
+
+    @pytest.mark.parametrize("pattern",
+                             ["poisson", "burst", "adversarial"])
+    def test_replay_matches_pinned_digest(self, pattern):
+        report = self._replay(pattern)
+        assert _report_digest(report) == self.REPLAY_DIGESTS[pattern]
+        # The driver advanced exactly to each arrival: no lateness.
+        assert report.lateness == [0.0] * report.offered
 
     def test_sim_report_quantiles(self):
         from repro.serve import SimReport
@@ -868,6 +909,84 @@ class TestSimulationDeterminism:
             node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.module == "time"]
         assert sleeps == [] and imports == []
+
+
+class TestRealClockDriver:
+    """On the real clock the driver keeps the offered rate above
+    capacity: it sleeps to absolute due times, so a worker holding the
+    GIL shows up as queueing, not as a slower generator."""
+
+    PER_PAIR_SECONDS = 0.0004  # capacity ~2,500 pairs/s
+    RATE = 3000.0
+
+    @classmethod
+    def _busy_backend(cls, clock):
+        def score(entity_a, entity_b):
+            end = clock.now() + cls.PER_PAIR_SECONDS
+            while clock.now() < end:
+                pass
+            return _digit_score(entity_a, entity_b)
+        return CallableBackend(score)
+
+    @classmethod
+    def _service(cls, clock, registry):
+        return MatchService(
+            cls._busy_backend(clock),
+            ServeConfig(max_batch_size=32, max_wait_ms=5.0,
+                        max_queue=4096),
+            clock=clock, registry=registry)
+
+    @classmethod
+    def _resilient(cls, clock, registry):
+        replicas = ReplicaSet(
+            lambda index: cls._service(clock, registry),
+            num_replicas=1, clock=clock, registry=registry)
+        return ResilientClient(
+            replicas,
+            ResilientConfig(hedge=HedgeConfig(enabled=False),
+                            attempt_timeout_ms=120_000.0),
+            registry=registry)
+
+    @pytest.mark.parametrize("tier", ["service", "resilient"])
+    def test_offered_rate_holds_above_capacity(self, tier):
+        clock = SystemClock()
+        make = self._service if tier == "service" else self._resilient
+        target = make(clock, MetricsRegistry())
+        workload = generate_workload([_pair(i) for i in range(50)],
+                                     num_requests=1500, rate=self.RATE,
+                                     seed=0)
+        report = run_simulation(target, workload)
+
+        # Submit times are due times plus lateness.
+        span = ((workload.arrivals[-1].at + report.lateness[-1])
+                - (workload.arrivals[0].at + report.lateness[0]))
+        assert abs(span - workload.duration) <= 0.05 * workload.duration
+        assert len(report.lateness) == report.offered == 1500
+        assert (report.completed + report.rejected + report.timeouts
+                + report.errors) == report.offered
+        assert report.completed > 0
+        # Above capacity the backlog grows: latency from due time
+        # climbs well past the 5 ms flush window.
+        assert report.rejected or report.latency_quantile(0.99) > 0.05
+
+    def test_dead_worker_pool_does_not_hold_the_driver(self):
+        """A killed single-worker pool never drains its queue; the
+        driver leaves it to ``close`` to fail typed instead of waiting
+        out the 60 s safety valve."""
+        clock = SystemClock()
+        service = MatchService(
+            CallableBackend(_digit_score),
+            ServeConfig(max_batch_size=8, max_wait_ms=2.0, max_queue=200),
+            clock=clock, registry=MetricsRegistry(),
+            chaos=ChaosMonkey(ChaosConfig(
+                kill_worker_batches=frozenset({2}))))
+        workload = generate_workload([_pair(i) for i in range(20)],
+                                     num_requests=100, rate=2000.0,
+                                     seed=0)
+        report = run_simulation(service, workload)
+        assert report.errors > 0
+        assert report.completed + report.errors == 100
+        assert report.duration < 10.0
 
 
 class TestThreadSafetyRegressions:
