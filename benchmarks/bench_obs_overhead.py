@@ -64,7 +64,7 @@ def run_obs_benchmark(num_pairs: int = 200, seed: int = 0,
     """Run the tracing-overhead benchmark and return the report dict."""
     splits, pairs = harness.build_workload(num_pairs, seed)
     matcher = harness.fit_matcher("bert", splits, seed, zoo_dir)
-    matcher.match_many(pairs[:8], fast=True)  # warm the token cache
+    matcher.match_many(pairs[:8], fast=True)  # warm the tokenizer memo
     timing = harness.paired(
         lambda: _drain(matcher, pairs, 0.0, seed, batch_size),
         lambda: _drain(matcher, pairs, 1.0, seed, batch_size))

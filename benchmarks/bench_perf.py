@@ -2,13 +2,13 @@
 
 Times ``match_many`` for every architecture on the same workload
 (dblp-acm record pairs, each unique pair matched twice so the
-tokenization cache sees repeats), each comparison through the paired
-A/B timer of ``repro.perf.harness``:
+tokenizer memo sees repeats), each comparison through the paired A/B
+timer of ``repro.perf.harness``:
 
-1. fast vs. serial — length-bucketed batches + tokenization cache
-   against serial per-pair matching without the cache, through the
-   same tape-off forward; the per-architecture floor is judged on the
-   lower end of the median ratio's bootstrap interval;
+1. fast vs. serial — length-bucketed batches against serial per-pair
+   matching, through the same tape-off forward, each side after the
+   tokenizer memo forgets every text; the per-architecture floor is
+   judged on the lower end of the median ratio's bootstrap interval;
 2. cascade vs. RoBERTa serial — DistilBERT screens every pair,
    ambiguous ones escalate to RoBERTa; the aggregate floor is >= 4x
    with cascade F1 within tolerance of RoBERTa-only.

@@ -19,7 +19,6 @@ from ..data import EMDataset, EntityPair, Record
 from ..models import ARCHITECTURES
 from ..nn import no_grad
 from ..obs import CallbackList
-from ..perf import TokenizationCache, ensure_token_cache
 from ..pretraining import PretrainedModel, ZooSettings, get_pretrained
 from ..resilience import MatchOutcome, ResilienceConfig
 from .engine import MatchEngine
@@ -105,17 +104,6 @@ class EntityMatcher:
             raise RuntimeError("call fit() before predicting")
         return self._result
 
-    def ensure_token_cache(self, maxsize: int = 4096) -> TokenizationCache:
-        """Attach (once) and return this matcher's tokenization cache.
-
-        The cache lives on the tokenizer instance, so repeated records
-        across ``predict``/``match_many`` calls — the dominant shape of
-        EM candidate sets — hit instead of re-tokenizing.  Hit/miss
-        counters land in ``repro.obs`` under ``perf.token_cache.*``.
-        """
-        return ensure_token_cache(self.pretrained.tokenizer,
-                                  maxsize=maxsize)
-
     def predict(self, dataset: EMDataset,
                 batch_size: int = 64) -> np.ndarray:
         """Binary match predictions for every pair of ``dataset``.
@@ -127,7 +115,6 @@ class EntityMatcher:
         content, not the global ``max_length``.
         """
         result = self._require_fitted()
-        self.ensure_token_cache()
         encoded = encode_dataset(dataset, self.pretrained.tokenizer,
                                  result.max_length)
         result.classifier.eval()
@@ -152,12 +139,7 @@ class EntityMatcher:
                           entity_b: dict | Record) -> float:
         """Probability that two records refer to the same entity."""
         result = self._require_fitted()
-        record_a = entity_a if isinstance(entity_a, Record) else Record(dict(entity_a))
-        record_b = entity_b if isinstance(entity_b, Record) else Record(dict(entity_b))
-        schema = self._schema or record_a.attributes()
-        attributes = self._text_attributes or schema
-        pair = EntityPair(record_a, record_b, 0)
-        text_a, text_b = pair_texts(pair, attributes)
+        text_a, text_b = self._pair_texts(entity_a, entity_b)
         enc = self.pretrained.tokenizer.encode_pair(
             text_a, text_b, max_length=result.max_length)
         result.classifier.eval()
@@ -198,11 +180,13 @@ class EntityMatcher:
         ``callbacks``.
 
         ``fast`` selects the length-bucketed batched engine (tokenize
-        once through the LRU cache, forward in per-bucket-padded batches
-        of ``batch_size``); ``fast=False`` forces the serial per-pair
-        path.  The default (None) uses the fast engine unless
-        ``match_probability`` has been overridden on this *instance*
-        (the scoring hook the serial path honors).  Isolation semantics
+        each pair once, forward in per-bucket-padded batches of
+        ``batch_size``); ``fast=False`` forces the serial per-pair
+        path.  Both paths tokenize through the tokenizer's own memo,
+        so records repeated across calls are not re-tokenized.  The
+        default (None) uses the fast engine unless ``match_probability``
+        has been overridden on this *instance* (the scoring hook the
+        serial path honors).  Isolation semantics
         are identical on both paths: an encode failure degrades that
         pair immediately; a batch forward failure retries each member
         individually before degrading the ones that still fail.
@@ -243,6 +227,5 @@ class EntityMatcher:
         so served probabilities are bit-identical to ``match_many``.
         """
         result = self._require_fitted()
-        self.ensure_token_cache()
         return MatchEngine(self._pair_texts, self.pretrained.tokenizer,
                            result.classifier, result.max_length)

@@ -1,7 +1,7 @@
 """The bucketed batch-scoring engine shared by ``match_many`` and serving.
 
 :class:`MatchEngine` is the single implementation of the fast matching
-path: tokenize each pair once through the LRU cache, forward in
+path: tokenize each pair once (through the tokenizer's memo), forward in
 length-bucketed batches under ``no_grad`` (the model forward with the
 tape off), and isolate per-pair failures — an encode
 failure degrades that pair immediately, a batch forward failure retries
@@ -55,8 +55,8 @@ class MatchEngine:
         the serialized entity blobs (schema-aware; usually
         ``EntityMatcher._pair_texts``).
     tokenizer:
-        The architecture's subword tokenizer (with its tokenization
-        cache attached, if caching is wanted).
+        The architecture's subword tokenizer (it memoizes text -> ids
+        itself, so a record seen before is not re-tokenized).
     classifier:
         The fine-tuned classification model exposing ``predict_proba``.
     max_length:

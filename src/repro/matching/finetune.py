@@ -39,7 +39,6 @@ from ..resilience import (ResilienceConfig, DivergenceGuard,
                           TrainingDiverged, pack_state, unpack_state)
 from ..utils import child_rng, get_rng_state, set_rng_state
 from .metrics import MatchingMetrics, evaluate_predictions
-from ..perf import ensure_token_cache
 from .serializer import (EncodedPairs, choose_max_length, encode_dataset,
                          iter_bucketed, uniform_cls_index)
 
@@ -200,9 +199,6 @@ def fine_tune(pretrained: PretrainedModel, train: EMDataset,
         backbone.special_token_ids = pretrained.tokenizer.vocab.special_ids()
         backbone.load_state_dict(pretrained.backbone.state_dict())
         classifier = SequenceClassifier(backbone, pretrained.config, rng)
-        # Memoize text -> ids across choose_max_length + both encodes
-        # (every record is tokenized several times otherwise).
-        ensure_token_cache(pretrained.tokenizer)
         max_length = choose_max_length(train, pretrained.tokenizer,
                                        cap=min(config.max_length_cap,
                                                pretrained.config.max_position))

@@ -10,8 +10,9 @@ hardware allows without changing a single logit:
 * **Length-bucketed batching** (:mod:`repro.perf.bucketing`): sort
   sequences by real token count, batch neighbors, trim right-padded
   batches to their own max length.
-* **Tokenization caching** (:mod:`repro.perf.cache`): a bounded LRU over
-  text -> token ids with hit/miss counters in :mod:`repro.obs`; the same
+* **Tokenization memo** (:mod:`repro.perf.cache`): every tokenizer owns
+  one, always on — a bounded LRU over text -> token ids with hit/miss
+  counters in :mod:`repro.obs`, plus a word -> pieces map; the same
   :class:`LRUCache` backs the serving backends' outcome memo.
 * **Benchmarking**: :mod:`repro.perf.harness` is the one bench harness
   — declarative gates, one report writer and schema check, and the
@@ -22,9 +23,9 @@ hardware allows without changing a single logit:
 """
 
 from .bucketing import is_left_padded, plan_buckets, real_lengths, trim_length
-from .cache import LRUCache, TokenizationCache, ensure_token_cache
+from .cache import LRUCache, TokenizationCache
 
 __all__ = [
-    "LRUCache", "TokenizationCache", "ensure_token_cache",
+    "LRUCache", "TokenizationCache",
     "plan_buckets", "real_lengths", "is_left_padded", "trim_length",
 ]

@@ -4,11 +4,12 @@ Measures ``match_many`` throughput for every architecture on one
 workload, each comparison through the paired A/B timer of
 :mod:`repro.perf.harness`:
 
-* **fast vs. serial** — length-bucketed batches with a cold
-  tokenization cache against serial per-pair matching without the
-  cache, through the same tape-off forward.  The speedup floor is
-  judged on the lower end of the bootstrap interval of the median
-  paired ratio, and every pair's decision must agree between paths;
+* **fast vs. serial** — length-bucketed batches against serial per-pair
+  matching, through the same tape-off forward; before each side the
+  tokenizer memo forgets every text, so both tokenize every record.
+  The speedup floor is judged on the lower end of the bootstrap
+  interval of the median paired ratio, and every pair's decision must
+  agree between paths;
 * **cascade vs. RoBERTa serial** — DistilBERT screens every pair and
   escalates the ambiguous band to RoBERTa; the aggregate speedup over
   the RoBERTa serial path is gated at 4×, with cascade F1 within
@@ -45,26 +46,6 @@ F1_TOLERANCE = 0.005
 PRIMARY, SECONDARY = "distilbert", "roberta"
 
 
-def _cold_cache(matcher):
-    """A setup hook attaching ``matcher``'s token cache, emptied."""
-    tokenizer = matcher.pretrained.tokenizer
-    cache = matcher.ensure_token_cache()
-
-    def setup():
-        tokenizer.cache = cache
-        cache.clear()
-    return setup
-
-
-def _no_cache(matcher):
-    """A setup hook detaching ``matcher``'s token cache."""
-    tokenizer = matcher.pretrained.tokenizer
-
-    def setup():
-        tokenizer.cache = None
-    return setup
-
-
 def _rate(pairs: int, seconds) -> float:
     return pairs / max(statistics.median(seconds), 1e-9)
 
@@ -72,13 +53,12 @@ def _rate(pairs: int, seconds) -> float:
 def _bench_arch(arch: str, matcher, pairs, batch_size: int, cycles: int,
                 gates: list[Gate]) -> dict:
     from ..obs import default_registry
-    cold = _cold_cache(matcher)
+    memo = matcher.pretrained.tokenizer.memo
     timing = harness.paired(
         lambda: matcher.match_many(pairs, fast=True,
                                    batch_size=batch_size),
         lambda: matcher.match_many(pairs, fast=False),
-        cycles=cycles, setup_a=cold, setup_b=_no_cache(matcher))
-    cold()  # the serial side may have run last, cache detached
+        cycles=cycles, setup_a=memo.clear, setup_b=memo.clear)
     fast, baseline = timing.a_result, timing.b_result
     agreement = sum(x.matched == y.matched
                     for x, y in zip(baseline, fast)) / max(len(pairs), 1)
@@ -86,7 +66,6 @@ def _bench_arch(arch: str, matcher, pairs, batch_size: int, cycles: int,
                           ARCH_SPEEDUP_FLOORS.get(arch, 1.0)),
               Gate(f"{arch}.decision_agreement", agreement, 1.0)]
     registry = default_registry()
-    cache = matcher.ensure_token_cache()
     n = len(pairs)
     return {
         "pairs": n,
@@ -100,8 +79,8 @@ def _bench_arch(arch: str, matcher, pairs, batch_size: int, cycles: int,
             "forward_seconds":
                 registry.gauge("perf.match.forward_seconds").value,
         },
-        "cache": {"hits": int(cache.hits), "misses": int(cache.misses),
-                  "hit_rate": cache.hit_rate},
+        "cache": {"hits": int(memo.hits), "misses": int(memo.misses),
+                  "hit_rate": memo.hit_rate},
         "decision_agreement": agreement,
     }
 
@@ -126,19 +105,17 @@ def _bench_cascade(primary, secondary, splits, pairs, batch_size: int,
     f1_secondary = evaluate_predictions(
         labels, [o.matched for o in reference]).f1
 
-    cold_primary = _cold_cache(primary)
-    cold_secondary = _cold_cache(secondary)
+    cold_secondary = secondary.pretrained.tokenizer.memo.clear
 
     def cold_both():
-        cold_primary()
+        primary.pretrained.tokenizer.memo.clear()
         cold_secondary()
 
     timing = harness.paired(
         lambda: cascade.score_pairs(pairs, fallback=False,
                                     batch_size=batch_size),
         lambda: secondary.match_many(pairs, fast=False),
-        cycles=cycles, setup_a=cold_both, setup_b=_no_cache(secondary))
-    cold_secondary()  # the serial side may have run last
+        cycles=cycles, setup_a=cold_both, setup_b=cold_secondary)
     escalation_rate = cascade.last_escalation_rate()
     delta = f1_cascade - f1_secondary
     gates += [timing.gate("cascade.aggregate_speedup",

@@ -1,20 +1,24 @@
-"""Bounded LRU caching for tokenization work.
+"""Bounded memos for tokenization work.
 
 Entity-matching workloads re-serialize the same records over and over:
 each record participates in many candidate pairs, and every
-``match_many`` / ``encode_dataset`` call used to re-run the subword
-tokenizer from scratch.  :class:`TokenizationCache` memoizes the
-text -> token-id mapping behind a bounded LRU keyed on a content hash
-of the text, and exports hit/miss/eviction counters through the
-:mod:`repro.obs` metrics registry.
+``match_many`` / ``encode_dataset`` call would otherwise re-run the
+subword tokenizer from scratch.  :class:`TokenizationCache` is the one
+tokenization memo: text -> token ids behind a bounded LRU
+(hit/miss/eviction counters in the :mod:`repro.obs` metrics registry),
+plus a bounded word -> pieces map.
 
-The cache is attached *per tokenizer instance* (see
-``SubwordTokenizer.cache``): token ids are only meaningful relative to
-one vocabulary, so sharing entries across tokenizers would corrupt
-encodings.  :func:`ensure_token_cache` is the idempotent attach helper
-the matching layer uses.
+Every :class:`~repro.tokenizers.SubwordTokenizer` builds its own memo
+at construction (``SubwordTokenizer.memo``) and always uses it: token
+ids are only meaningful relative to one vocabulary, so sharing entries
+across tokenizers would corrupt encodings.  Pairs are assembled from
+the two memoized id lists; a repeated pair is answered one level up,
+by the serving backends' outcome memo (an :class:`LRUCache` too).
 
-Both cache classes are thread-safe: ``repro.serve`` encodes requests
+This module imports only :mod:`repro.utils` (and, lazily,
+:mod:`repro.obs`), so the tokenizers can import it without a cycle.
+
+Both classes are thread-safe: ``repro.serve`` encodes requests
 from batcher workers while producers may be warming the same tokenizer,
 and an unlocked ``OrderedDict.move_to_end`` during a concurrent ``put``
 corrupts the recency list.
@@ -23,11 +27,10 @@ corrupts the recency list.
 from __future__ import annotations
 
 from collections import OrderedDict
-from hashlib import blake2b
 
 from ..utils.concurrency import access, make_rlock
 
-__all__ = ["LRUCache", "TokenizationCache", "ensure_token_cache"]
+__all__ = ["LRUCache", "TokenizationCache"]
 
 
 class LRUCache:
@@ -96,19 +99,27 @@ class LRUCache:
             return self.hits / total if total else 0.0
 
 
-def _content_key(text: str) -> bytes:
-    """Stable content hash — fixed-width keys regardless of text size."""
-    return blake2b(text.encode("utf-8"), digest_size=16).digest()
+#: Bound of a memo's word -> pieces map.
+_MAX_WORDS = 65536
 
 
 class TokenizationCache:
-    """Memoize text -> token ids for one tokenizer.
+    """One tokenizer's memo: text -> token ids and word -> pieces.
 
-    Values are stored as immutable tuples and handed out as fresh lists,
-    so callers (pair truncation mutates its id lists) can never corrupt
-    a cached entry.  Counter updates go to ``repro.obs``'s default
-    registry under ``perf.token_cache.*`` unless another registry is
-    passed.
+    The text map is an :class:`LRUCache` keyed on the text itself (a
+    str caches its hash, so a lookup hashes each new text once).  Values
+    are stored as immutable tuples and handed out as fresh lists, so
+    callers (pair truncation mutates its id lists) can never corrupt an
+    entry.  Counter updates go to ``repro.obs``'s default registry under
+    ``perf.token_cache.*`` unless another registry is passed.
+
+    The word map backs :meth:`word`: entity records repeat words heavily
+    (venues, brands, model names), so per-word segmentation redoes the
+    same greedy match even when the whole text misses.  It is dropped
+    wholesale once it holds ``_MAX_WORDS`` entries, so adversarial text
+    cannot balloon it.  It takes no lock: pieces are a pure function of
+    the word, so a race between threads can only compute an entry twice
+    or drop the map early, never hand out wrong pieces.
     """
 
     def __init__(self, maxsize: int = 4096, registry=None):
@@ -116,6 +127,7 @@ class TokenizationCache:
             from ..obs import default_registry
             registry = default_registry()
         self._lru = LRUCache(maxsize)
+        self._words: dict[str, list[str]] = {}
         self._hits = registry.counter("perf.token_cache.hits")
         self._misses = registry.counter("perf.token_cache.misses")
         self._evictions = registry.counter("perf.token_cache.evictions")
@@ -136,54 +148,33 @@ class TokenizationCache:
         return self._lru.hit_rate
 
     def lookup(self, text: str, compute) -> list[int]:
-        """Return cached ids for ``text``, calling ``compute(text)`` on miss."""
-        key = _content_key(text)
-        cached = self._lru.get(key)
+        """Return memoized ids for ``text``, calling ``compute(text)`` on
+        a miss."""
+        cached = self._lru.get(text)
         if cached is not None:
             self._hits.inc()
             return list(cached)
         self._misses.inc()
         ids = compute(text)
-        if self._lru.put(key, tuple(ids)):
+        if self._lru.put(text, tuple(ids)):
             self._evictions.inc()
         return list(ids)
 
-    def lookup_pair(self, text_a: str, text_b: str, max_length: int,
-                    pad_to_max: bool, compute):
-        """Memoize a finished pair :class:`Encoding`, not just the ids.
-
-        EM workloads re-match identical pairs constantly (dedup sweeps,
-        repeated serving requests); per-side id caching still rebuilds
-        truncation, special-token assembly and the numpy arrays on every
-        call.  Cached encodings have their arrays frozen read-only so
-        the shared object can never be corrupted by a caller — consumers
-        stack or fancy-index them into batches, which copies.
-        """
-        key = (_content_key(text_a), _content_key(text_b),
-               max_length, pad_to_max)
-        cached = self._lru.get(key)
-        if cached is not None:
-            self._hits.inc()
-            return cached
-        self._misses.inc()
-        encoding = compute()
-        for array in (encoding.input_ids, encoding.segment_ids,
-                      encoding.pad_mask):
-            array.setflags(write=False)
-        if self._lru.put(key, encoding):
-            self._evictions.inc()
-        return encoding
+    def word(self, word: str, compute) -> list[str]:
+        """Return memoized pieces for ``word``, calling ``compute(word)``
+        on a miss.  Callers only read the returned list."""
+        pieces = self._words.get(word)
+        if pieces is None:
+            if len(self._words) >= _MAX_WORDS:
+                self._words.clear()
+            pieces = compute(word)
+            self._words[word] = pieces
+        return pieces
 
     def clear(self) -> None:
+        """Forget every text, so the next :meth:`lookup` of any text
+        misses.  The word map is kept: pieces are a pure function of the
+        vocabulary, never stale, and an entity-matching stream meets new
+        records far more often than new words.  Counters keep their
+        totals."""
         self._lru.clear()
-
-
-def ensure_token_cache(tokenizer, maxsize: int = 4096,
-                       registry=None) -> TokenizationCache:
-    """Attach a :class:`TokenizationCache` to ``tokenizer`` if it has
-    none yet, and return the attached cache (idempotent)."""
-    cache = getattr(tokenizer, "cache", None)
-    if cache is None:
-        cache = TokenizationCache(maxsize=maxsize, registry=registry)
-        tokenizer.cache = cache
-    return cache

@@ -335,7 +335,7 @@ def fit_matcher(arch: str, splits, seed: int, zoo_dir):
 
 def serial_baseline(matcher, pairs) -> dict:
     """One warm ``match_many`` pass: the rate the serving suites offer."""
-    matcher.match_many(pairs[:8], fast=True)  # warm the token cache
+    matcher.match_many(pairs[:8], fast=True)  # warm the tokenizer memo
     start = time.perf_counter()
     outcomes = matcher.match_many(pairs, fast=True)
     seconds = time.perf_counter() - start

@@ -8,9 +8,8 @@ A backend is anything with::
 ``stages`` (a :class:`repro.obs.tracing.BatchStages`, or None when the
 drained chunk contains no sampled request) lets the backend report
 clock-timed tokenize/forward stage spans that the service grafts into
-each member request's span tree; the parameter is optional in the
-protocol — the service detects support by signature and simply omits
-stage records for backends that predate it.
+each member request's span tree.  The service always passes it, so
+every backend must accept it.
 
 The service drains a chunk of queued requests and hands the whole chunk
 to the backend; the backend owns batching within the chunk, per-pair
@@ -77,7 +76,9 @@ class _EngineBackend:
     probabilities are stored; the decision is re-derived from each
     call's threshold.  The scorer is a snapshot whose weights never
     change, so a hit returns the pair's first scoring.  ``memo`` is the
-    :class:`~repro.perf.LRUCache` (4096 pairs, as the token cache).
+    :class:`~repro.perf.LRUCache` (4096 pairs, as the tokenizer memo's
+    text map).  It is the only memo of whole pairs: the tokenizer
+    below it memoizes each record's text, not the pair.
     """
 
     def __init__(self, scorer, batch_size: int):

@@ -98,7 +98,7 @@ def _overhead_phase(matcher, pairs, rate: float, seed: int,
             registry=registry)
         return run_simulation(client, workload)
 
-    _drain_naive()       # warm thread pools, allocator, token cache
+    _drain_naive()       # warm thread pools, allocator, tokenizer memo
     _drain_resilient()
     return harness.paired(_drain_naive, _drain_resilient, cycles=cycles)
 

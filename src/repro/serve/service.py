@@ -33,7 +33,6 @@ simulated time for deterministic tests (see :mod:`repro.serve.sim`).
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 import threading
@@ -327,11 +326,6 @@ class MatchService:
         self._dead_workers = 0                    # guard: _cond
         self.tracer = Tracer(self.clock, max_traces=_MAX_TRACES,
                              sample_rate=self.config.trace_sample_rate)
-        # Stage recording needs backend cooperation; older/custom
-        # backends without a ``stages`` parameter still serve fine —
-        # their traces just lack tokenize/forward children.
-        self._backend_stages = "stages" in inspect.signature(
-            backend.score).parameters
         registry = registry if registry is not None else default_registry()
         self._registry = registry
         self._queue_depth = registry.gauge("serve.queue.depth")
@@ -804,9 +798,7 @@ class MatchService:
             if delay > 0.0:
                 self._chaos_sleep(delay)
         stages = (BatchStages(self.clock.now)
-                  if self._backend_stages
-                  and any(r.span is not None for r in live) else None)
-        extra = {"stages": stages} if stages is not None else {}
+                  if any(r.span is not None for r in live) else None)
         assembled = self.clock.now()
         try:
             outcomes = self._backend.score(
@@ -815,7 +807,7 @@ class MatchService:
                 threshold=self.config.threshold,
                 fallback=self.config.fallback,
                 forward_hook=self._forward_hook,
-                cb=self._cb, **extra)
+                cb=self._cb, stages=stages)
         except Exception as exc:  # noqa: BLE001 — backends isolate; this
             # is the last-resort boundary keeping tickets from hanging.
             done = self.clock.now()

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..perf.cache import TokenizationCache
 from .vocab import Vocab
 
 __all__ = ["Encoding", "SubwordTokenizer"]
@@ -48,39 +49,12 @@ class SubwordTokenizer:
     def __init__(self, vocab: Vocab, cls_at_end: bool = False):
         self.vocab = vocab
         self.cls_at_end = cls_at_end
-        #: Optional text -> token-id memo (duck-typed: anything with a
-        #: ``lookup(text, compute)`` method, normally a
-        #: :class:`repro.perf.TokenizationCache`).  None = no caching.
-        #: Ids are vocabulary-specific, so a cache must never be shared
-        #: between tokenizer instances.
-        self.cache = None
-        # Word -> subword-pieces memo behind memoized_word().  Entity
-        # records repeat words heavily (venues, brands, model names), so
-        # per-word segmentation redoes the same greedy match over and
-        # over even when the text-level cache misses.  Engaged only
-        # while ``cache`` is attached, so the no-caching baseline stays
-        # a true baseline.
-        self._word_memo: dict[str, list[str]] = {}
-
-    def memoized_word(self, word: str, compute) -> list[str]:
-        """Segment ``word`` via ``compute``, memoized while caching is on.
-
-        Subclass ``tokenize`` implementations with a per-word inner loop
-        (WordPiece, BPE) route their word segmentation through here.
-        The memo is vocabulary-level state on this tokenizer instance —
-        never shared between tokenizers — and is dropped wholesale if it
-        grows past a bound so adversarial text cannot balloon it.
-        """
-        if self.cache is None:
-            return compute(word)
-        memo = self._word_memo
-        pieces = memo.get(word)
-        if pieces is None:
-            if len(memo) >= 65536:
-                memo.clear()
-            pieces = compute(word)
-            memo[word] = pieces
-        return pieces
+        #: This tokenizer's memo: text -> ids behind :meth:`encode`, and
+        #: word -> pieces for subclasses whose ``tokenize`` segments word
+        #: by word (WordPiece, BPE call ``memo.word``).  Ids are
+        #: vocabulary-specific, so it is never shared between tokenizer
+        #: instances; ``memo.clear()`` forgets every text.
+        self.memo = TokenizationCache()
 
     # -- subclass API ---------------------------------------------------------
 
@@ -93,10 +67,8 @@ class SubwordTokenizer:
     # -- shared encoding -------------------------------------------------------
 
     def encode(self, text: str) -> list[int]:
-        """Text to ids without special tokens (memoized via ``cache``)."""
-        if self.cache is not None:
-            return self.cache.lookup(text, self._encode_uncached)
-        return self._encode_uncached(text)
+        """Text to ids without special tokens (memoized)."""
+        return self.memo.lookup(text, self._encode_uncached)
 
     def _encode_uncached(self, text: str) -> list[int]:
         return self.vocab.ids(self.tokenize(text))
@@ -162,16 +134,6 @@ class SubwordTokenizer:
         """
         if max_length < 4:
             raise ValueError("max_length must allow CLS/SEP plus content")
-        if self.cache is not None:
-            return self.cache.lookup_pair(
-                text_a, text_b, max_length, pad_to_max,
-                lambda: self._encode_pair_uncached(text_a, text_b,
-                                                   max_length, pad_to_max))
-        return self._encode_pair_uncached(text_a, text_b, max_length,
-                                          pad_to_max)
-
-    def _encode_pair_uncached(self, text_a: str, text_b: str,
-                              max_length: int, pad_to_max: bool) -> Encoding:
         ids_a = self.encode(text_a)
         ids_b = self.encode(text_b)
         budget = max_length - 3  # CLS + 2x SEP

@@ -58,7 +58,7 @@ class ByteLevelBPETokenizer(SubwordTokenizer):
                               strip_accents=False)
         tokens: list[str] = []
         for word in gpt2_pretokenize(text):
-            tokens.extend(self.memoized_word(word, self._bpe))
+            tokens.extend(self.memo.word(word, self._bpe))
         return tokens
 
     def _bpe(self, word: str) -> list[str]:

@@ -36,7 +36,7 @@ class WordPieceTokenizer(SubwordTokenizer):
         # punctuation-split words inside them: one memo hit replaces the
         # punctuation scan plus every greedy match in the chunk.
         for chunk in text.split():
-            output.extend(self.memoized_word(chunk, self._tokenize_chunk))
+            output.extend(self.memo.word(chunk, self._tokenize_chunk))
         return output
 
     def _tokenize_chunk(self, chunk: str) -> list[str]:

@@ -1,4 +1,4 @@
-"""Inference fast path: fused kernels, bucketed batching, token cache.
+"""Inference fast path: fused kernels, bucketed batching, tokenizer memo.
 
 Three contracts anchor the whole ``repro.perf`` layer:
 
@@ -21,10 +21,9 @@ from repro.data import load_benchmark, split_dataset
 from repro.matching import (EncodedPairs, EntityMatcher, FineTuneConfig,
                             encode_dataset, iter_bucketed)
 from repro.nn import is_grad_enabled, no_grad
-from repro.obs import MetricsRegistry
-from repro.perf import (LRUCache, TokenizationCache, ensure_token_cache,
-                        is_left_padded, plan_buckets, real_lengths,
-                        trim_length)
+from repro.obs import MetricsRegistry, default_registry
+from repro.perf import (LRUCache, TokenizationCache, is_left_padded,
+                        plan_buckets, real_lengths, trim_length)
 from repro.perf.bench import run_perf_benchmark
 from repro.perf.harness import check_report, write_report
 from repro.utils import child_rng
@@ -139,29 +138,49 @@ class TestLRUCache:
             LRUCache(maxsize=0)
 
 
+def _fresh(tokenizer):
+    """A newly loaded copy of ``tokenizer``, its memo empty."""
+    return type(tokenizer).from_payload(tokenizer.to_payload())
+
+
 class TestTokenizationCache:
-    def test_lookup_memoizes_and_counts(self):
-        registry = MetricsRegistry()
-        cache = TokenizationCache(maxsize=8, registry=registry)
+    """Every tokenizer owns one memo, on from construction."""
+
+    TEXT = "entity matching with transformers"
+
+    def test_lookup_memoizes_and_counts(self, tiny_bert):
+        tokenizer = _fresh(tiny_bert.tokenizer)
+        registry = default_registry()
+        hits = registry.counter("perf.token_cache.hits")
+        misses = registry.counter("perf.token_cache.misses")
+        before = (hits.value, misses.value)
+        assert tokenizer.encode(self.TEXT) == tokenizer.encode(self.TEXT)
+        assert (tokenizer.memo.hits, tokenizer.memo.misses) == (1, 1)
+        assert (hits.value - before[0], misses.value - before[1]) == (1, 1)
+
+    def test_clear_forgets_texts_keeps_words(self, tiny_bert):
+        tokenizer = _fresh(tiny_bert.tokenizer)
         calls = []
 
-        def compute(text):
-            calls.append(text)
-            return [1, 2, 3]
+        def segment(word):
+            calls.append(word)
+            return [word]
 
-        first = cache.lookup("alpha", compute)
-        second = cache.lookup("alpha", compute)
-        assert first == second == [1, 2, 3]
+        tokenizer.encode(self.TEXT)
+        tokenizer.memo.word("alpha", segment)
+        tokenizer.memo.clear()
+        assert len(tokenizer.memo) == 0
+        tokenizer.encode(self.TEXT)
+        assert (tokenizer.memo.hits, tokenizer.memo.misses) == (0, 2)
+        tokenizer.memo.word("alpha", segment)
         assert calls == ["alpha"]
-        assert registry.counter("perf.token_cache.hits").value == 1
-        assert registry.counter("perf.token_cache.misses").value == 1
 
-    def test_returned_lists_are_isolated(self):
-        cache = TokenizationCache(maxsize=8,
-                                  registry=MetricsRegistry())
-        ids = cache.lookup("alpha", lambda text: [1, 2, 3])
+    def test_returned_lists_are_isolated(self, tiny_bert):
+        tokenizer = _fresh(tiny_bert.tokenizer)
+        ids = tokenizer.encode(self.TEXT)
+        expected = list(ids)
         ids.pop()  # pair truncation mutates its id lists
-        assert cache.lookup("alpha", lambda text: []) == [1, 2, 3]
+        assert tokenizer.encode(self.TEXT) == expected
 
     def test_eviction_counter(self):
         registry = MetricsRegistry()
@@ -170,30 +189,34 @@ class TestTokenizationCache:
         cache.lookup("b", lambda text: [2])
         assert registry.counter("perf.token_cache.evictions").value == 1
 
-    def test_ensure_token_cache_idempotent(self, tiny_bert):
-        tokenizer = tiny_bert.tokenizer
-        saved = tokenizer.cache
-        tokenizer.cache = None
-        try:
-            cache = ensure_token_cache(tokenizer, maxsize=16)
-            assert ensure_token_cache(tokenizer) is cache
-        finally:
-            tokenizer.cache = saved
+    def test_word_map_is_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.perf.cache._MAX_WORDS", 2)
+        cache = TokenizationCache(registry=MetricsRegistry())
+        calls = []
 
-    def test_cached_encoding_matches_uncached(self, tiny_bert):
-        tokenizer = tiny_bert.tokenizer
-        saved = tokenizer.cache
-        tokenizer.cache = None
-        try:
-            plain = tokenizer.encode("entity matching with transformers")
-            tokenizer.cache = TokenizationCache(
-                maxsize=8, registry=MetricsRegistry())
-            warm = tokenizer.encode("entity matching with transformers")
-            hit = tokenizer.encode("entity matching with transformers")
-            assert plain == warm == hit
-            assert tokenizer.cache.hits == 1
-        finally:
-            tokenizer.cache = saved
+        def segment(word):
+            calls.append(word)
+            return [word]
+
+        for word in ("a", "b", "c", "a"):
+            cache.word(word, segment)
+        # "c" found the map full and dropped it, so "a" is computed again.
+        assert calls == ["a", "b", "c", "a"]
+
+    @pytest.mark.parametrize("fixture", ARCH_FIXTURES)
+    def test_cached_encoding_matches_uncached(self, fixture, request):
+        tokenizer = _fresh(request.getfixturevalue(fixture).tokenizer)
+        plain = tokenizer.vocab.ids(tokenizer.tokenize(self.TEXT))
+        miss = tokenizer.encode(self.TEXT)
+        hit = tokenizer.encode(self.TEXT)
+        assert plain == miss == hit
+        assert (tokenizer.memo.hits, tokenizer.memo.misses) == (1, 1)
+        first = tokenizer.encode_pair(self.TEXT, "a pair of records", 16)
+        again = tokenizer.encode_pair(self.TEXT, "a pair of records", 16)
+        for name in ("input_ids", "segment_ids", "pad_mask"):
+            np.testing.assert_array_equal(getattr(first, name),
+                                          getattr(again, name))
+        assert first.cls_index == again.cls_index
 
 
 class TestBucketing:
@@ -252,13 +275,7 @@ class TestMatchManyFast:
 
     def test_fast_matches_serial(self, fitted_bert, tiny_splits):
         pairs = _record_pairs(tiny_splits, 24)
-        tokenizer = fitted_bert.pretrained.tokenizer
-        saved = tokenizer.cache
-        tokenizer.cache = None
-        try:
-            serial = fitted_bert.match_many(pairs, fast=False)
-        finally:
-            tokenizer.cache = saved
+        serial = fitted_bert.match_many(pairs, fast=False)
         fast = fitted_bert.match_many(pairs, fast=True, batch_size=7)
 
         assert [o.index for o in fast] == list(range(len(pairs)))

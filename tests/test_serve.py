@@ -718,7 +718,7 @@ class TestChaosDegradation:
 
         class BrokenBackend:
             def score(self, pairs, keys, threshold, fallback,
-                      forward_hook=None, cb=None):
+                      forward_hook=None, cb=None, stages=None):
                 raise MemoryError("backend is gone")
 
         service = MatchService(BrokenBackend(), clock=VirtualClock(),
@@ -728,6 +728,7 @@ class TestChaosDegradation:
         service.close(drain=True)
         error = ticket.exception(timeout=10.0)
         assert error is not None and "wholesale" in str(error)
+        assert "MemoryError" in str(error)
 
 
 class TestVirtualClock:
@@ -1219,32 +1220,6 @@ class TestRequestTracing:
         assert ticket.result(timeout=10.0) is not None
         assert ticket.trace_id is None
         assert service.tracer.snapshot() == []
-
-    def test_legacy_backend_without_stages_still_traces(self):
-        class LegacyBackend:
-            """Pre-stages protocol: no ``stages`` parameter."""
-
-            def __init__(self):
-                self._inner = CallableBackend(_digit_score)
-
-            def score(self, pairs, keys, threshold, fallback,
-                      forward_hook=None, cb=None):
-                return self._inner.score(pairs, keys, threshold,
-                                         fallback, forward_hook, cb)
-
-        service = MatchService(
-            LegacyBackend(), ServeConfig(max_batch_size=8,
-                                         max_wait_ms=5.0),
-            clock=VirtualClock(), registry=MetricsRegistry())
-        ticket = service.submit(*_pair(2))
-        service.start()
-        service.close(drain=True)
-
-        assert ticket.result(timeout=10.0).probability == 2 / 10_000.0
-        (root,) = service.tracer.snapshot()
-        names = root.stage_names()
-        assert "queue_wait" in names and "batch_assembly" in names
-        assert "forward" not in names  # legacy backend: no stage records
 
     def test_timeout_span_finishes_with_reason(self):
         clock = VirtualClock()
